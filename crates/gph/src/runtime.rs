@@ -13,7 +13,7 @@ use rph_deque::DetDeque;
 use rph_heap::gc::Collector;
 use rph_heap::{Heap, NodeRef, ParMarkCosts, RegionId};
 use rph_machine::{Machine, Program, RunCtx, StopReason};
-use rph_sim::{DetRng, LinkClass};
+use rph_sim::{DetRng, EarliestIndex, LinkClass};
 use rph_trace::{CapId, EventKind, State, ThreadId, Time, Tracer};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
@@ -49,6 +49,15 @@ struct Cap {
 impl Cap {
     fn has_local_work(&self) -> bool {
         self.current.is_some() || !self.run_q.is_empty()
+    }
+
+    /// This capability's key in the event loop's pick index.
+    fn ready_key(&self) -> u64 {
+        if self.stopped_for_gc.is_some() {
+            EarliestIndex::PARKED
+        } else {
+            self.clock
+        }
     }
 }
 
@@ -174,24 +183,33 @@ impl GphRuntime {
             .record(CapId(0), 0, EventKind::ThreadCreated { thread: main_tid });
         self.caps[0].run_q.push_back(main);
 
+        // The pick index: each capability's clock, or `PARKED` while it
+        // waits at the GC barrier — a key rather than a filter, so
+        // "everyone is parked" is the index reporting no minimum. Only
+        // two things move a capability's key: `advance(idx)` moves
+        // `idx`'s own, and `perform_gc` moves everyone's.
+        let mut ready = EarliestIndex::new(self.caps.len());
+        ready.rebuild(|i, _| self.caps[i].ready_key());
         loop {
-            // Complete a pending GC once every capability is parked.
-            if self.gc.is_some() && self.caps.iter().all(|c| c.stopped_for_gc.is_some()) {
-                self.perform_gc();
-                continue;
-            }
+            debug_assert!(
+                ready.keys().eq(self.caps.iter().map(Cap::ready_key)),
+                "a capability's clock or parked flag moved outside its own advance"
+            );
             // Advance the lowest-clock capability that is not parked.
-            let Some(idx) = self
-                .caps
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.stopped_for_gc.is_none())
-                .min_by_key(|(i, c)| (c.clock, *i))
-                .map(|(i, _)| i)
-            else {
-                return Err("all capabilities parked with no GC pending".into());
+            let pick = ready.min();
+            debug_assert_eq!(pick, self.earliest_by_scan());
+            let Some(idx) = pick else {
+                // Every capability is parked: complete the pending GC.
+                if self.gc.is_none() {
+                    return Err("all capabilities parked with no GC pending".into());
+                }
+                self.perform_gc();
+                ready.rebuild(|i, _| self.caps[i].ready_key());
+                continue;
             };
-            if let Some(result) = self.advance(idx, main_tid)? {
+            let finished = self.advance(idx, main_tid)?;
+            ready.set(idx, self.caps[idx].ready_key());
+            if let Some(result) = finished {
                 let elapsed = self.caps[idx].clock;
                 // Close the trace: every capability goes idle at its
                 // current clock, and the main capability's end time
@@ -215,6 +233,15 @@ impl GphRuntime {
     // ------------------------------------------------------------------
     // Event-loop pieces
     // ------------------------------------------------------------------
+
+    /// The pick rule by definition — the lowest `(clock, id)` among the
+    /// capabilities not parked at the GC barrier — as an O(caps) scan:
+    /// the reference the pick index is checked against.
+    fn earliest_by_scan(&self) -> Option<usize> {
+        (0..self.caps.len())
+            .filter(|&i| self.caps[i].stopped_for_gc.is_none())
+            .min_by_key(|&i| (self.caps[i].clock, i))
+    }
 
     /// Advance one capability. Returns `Some(result)` when the main
     /// thread finished.

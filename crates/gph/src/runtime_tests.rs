@@ -798,3 +798,92 @@ fn hierarchical_stealing_cuts_remote_traffic_vs_flat() {
         of_.stats.remote_words
     );
 }
+
+/// FNV-1a over everything written to it, so a run's `Debug` output can
+/// be digested without building the string.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// Digest of everything a run produced: result, makespan, counters and
+/// the merged trace.
+fn run_digest(config: GphConfig, n: i64, cost: u64, alloc: u64) -> u64 {
+    use std::fmt::Write;
+    let (v, out) = run_with(config, n, cost, alloc);
+    assert_eq!(v, expected(n));
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+    write!(
+        h,
+        "{v} {} {:?} {:?}",
+        out.elapsed,
+        out.stats,
+        out.tracer.merged()
+    )
+    .expect("infallible");
+    h.0
+}
+
+/// Golden digests, recorded on the commit before the event loop's
+/// O(caps) pick scan became [`rph_sim::EarliestIndex`]. The
+/// determinism tests above compare two runs of one build, so they
+/// cannot see a change of pick order; these can, at capability counts
+/// (64, 256, one that is not a power of two) the rest of the suite
+/// does not reach. A deliberate change to the cost model or the
+/// scheduler re-records them; a change that claims to be a pure
+/// simulator speed-up must not.
+#[test]
+fn golden_digests_pin_the_pick_order() {
+    let stealing = |caps| {
+        GphConfig::ghc69_plain(caps)
+            .with_improved_gc_sync()
+            .with_work_stealing()
+    };
+    let mut push = GphConfig::ghc69_plain(8);
+    push.spark_policy = SparkPolicy::Push;
+    // A nursery small enough that promotion grows the old generation
+    // into parallel major collections (grey-stack stealing included).
+    let mut tiny = stealing(5).with_per_cap_nurseries().with_thread_stealing();
+    tiny.alloc_area_words = 2_048;
+    // (name, config, items, cost per item, words per item, digest)
+    let cases = [
+        (
+            "64 caps, stop-the-world",
+            stealing(64),
+            (600, 40_000, 60_000),
+            0x6de6_2ccb_4245_c6b4u64,
+        ),
+        (
+            "256 caps as 32x8, per-cap nurseries",
+            stealing(256).with_per_cap_nurseries().with_topology(32, 8),
+            (600, 40_000, 12_000),
+            0x917c_1dbf_4bab_c727,
+        ),
+        (
+            "8 caps, push, eager black-holing",
+            push.with_eager_blackholing(),
+            (600, 40_000, 12_000),
+            0x0c35_e8e5_b2a0_373c,
+        ),
+        (
+            "5 caps, tiny per-cap nurseries, thread stealing",
+            tiny,
+            (600, 40_000, 3_000),
+            0xbe6f_77ff_8d23_2d62,
+        ),
+    ];
+    let mismatches: Vec<String> = cases
+        .into_iter()
+        .filter_map(|(name, config, (n, cost, alloc), want)| {
+            let got = run_digest(config, n, cost, alloc);
+            (got != want).then(|| format!("{name}: {got:#018x}, recorded {want:#018x}"))
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}

@@ -284,21 +284,23 @@ impl Collector {
 
         let mut clocks = vec![0u64; caps];
         let mut grey_steals = 0u64;
+        // Stacks a thief could split (≥ 2 grey cells). An empty stack is
+        // never one of them, so "some *other* stack is splittable" is
+        // just `splittable > 0` for the thread that asks.
+        let splittable = |s: &Vec<NodeRef>| usize::from(s.len() >= 2);
+        let mut splittable_stacks: usize = stacks.iter().map(splittable).sum();
         loop {
             // Schedulable: non-empty stack, or a steal is possible.
             let mut next: Option<usize> = None;
             for q in 0..caps {
-                let can_act = !stacks[q].is_empty()
-                    || stacks
-                        .iter()
-                        .enumerate()
-                        .any(|(v, s)| v != q && s.len() >= 2);
+                let can_act = !stacks[q].is_empty() || splittable_stacks > 0;
                 if can_act && next.is_none_or(|b| clocks[q] < clocks[b]) {
                     next = Some(q);
                 }
             }
             let Some(q) = next else { break };
 
+            splittable_stacks -= splittable(&stacks[q]);
             if let Some(r) = stacks[q].pop() {
                 let words = heap.get(r).words();
                 clocks[q] += costs.mark_cell + words * costs.per_word;
@@ -320,12 +322,15 @@ impl Collector {
                     .filter(|&v| v != q && stacks[v].len() >= 2)
                     .max_by_key(|&v| (stacks[v].len(), usize::MAX - v))
                     .expect("schedulable empty thread has a victim");
+                splittable_stacks -= 1;
                 let take = stacks[victim].len() / 2;
                 let stolen: Vec<NodeRef> = stacks[victim].drain(..take).collect();
                 stacks[q] = stolen;
+                splittable_stacks += splittable(&stacks[victim]);
                 clocks[q] = clocks[q].max(clocks[victim]) + costs.steal;
                 grey_steals += 1;
             }
+            splittable_stacks += splittable(&stacks[q]);
         }
 
         // Serial sweep (accounted in the caller's fixed costs).

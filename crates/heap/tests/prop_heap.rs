@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rph_heap::gc::Collector;
-use rph_heap::{copy_subgraph, Cell, Heap, NodeRef, ScId, Value};
+use rph_heap::{copy_subgraph, Cell, Heap, NodeRef, ParMarkCosts, ScId, Value};
 
 /// A recipe for one heap node; indices refer to previously built nodes.
 #[derive(Debug, Clone)]
@@ -81,8 +81,97 @@ fn reachable(heap: &Heap, roots: &[NodeRef]) -> std::collections::HashSet<NodeRe
     seen
 }
 
+/// The parallel mark schedule under the rule `collect_parallel` used
+/// before it counted splittable stacks: a GC thread may act if its own
+/// stack is non-empty or — found by scanning every other stack — some
+/// victim holds at least two grey cells. Kept as the reference: returns
+/// the per-thread clocks, the steal count and the marked set.
+fn par_mark_by_scan(
+    heap: &Heap,
+    roots_by_cap: &[Vec<NodeRef>],
+    costs: &ParMarkCosts,
+) -> (Vec<u64>, u64, std::collections::HashSet<NodeRef>) {
+    let caps = roots_by_cap.len();
+    let mut marked = std::collections::HashSet::new();
+    let mut stacks: Vec<Vec<NodeRef>> = vec![Vec::new(); caps];
+    for (i, roots) in roots_by_cap.iter().enumerate() {
+        for &r in roots {
+            if marked.insert(r) {
+                stacks[i].push(r);
+            }
+        }
+    }
+    let mut clocks = vec![0u64; caps];
+    let mut grey_steals = 0;
+    let mut children = Vec::new();
+    loop {
+        let mut next: Option<usize> = None;
+        for q in 0..caps {
+            let can_act = !stacks[q].is_empty()
+                || stacks
+                    .iter()
+                    .enumerate()
+                    .any(|(v, s)| v != q && s.len() >= 2);
+            if can_act && next.is_none_or(|b| clocks[q] < clocks[b]) {
+                next = Some(q);
+            }
+        }
+        let Some(q) = next else { break };
+        if let Some(r) = stacks[q].pop() {
+            clocks[q] += costs.mark_cell + heap.get(r).words() * costs.per_word;
+            children.clear();
+            heap.get(r).push_children(&mut children);
+            for &c in &children {
+                if marked.insert(c) {
+                    stacks[q].push(c);
+                }
+            }
+        } else {
+            let victim = (0..caps)
+                .filter(|&v| v != q && stacks[v].len() >= 2)
+                .max_by_key(|&v| (stacks[v].len(), usize::MAX - v))
+                .expect("schedulable empty thread has a victim");
+            let take = stacks[victim].len() / 2;
+            stacks[q] = stacks[victim].drain(..take).collect();
+            clocks[q] = clocks[q].max(clocks[victim]) + costs.steal;
+            grey_steals += 1;
+        }
+    }
+    (clocks, grey_steals, marked)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `collect_parallel` decides in O(1) whether a GC thread can act;
+    /// the schedule it produces — every thread's clock, the number of
+    /// grey-stack steals, what survives — is the scan rule's, at 1 to
+    /// 64 GC threads and with roots spread evenly or piled on a few.
+    #[test]
+    fn parallel_mark_schedule_matches_the_scan_rule(
+        specs in proptest::collection::vec(spec_strategy(), 1..120),
+        root_picks in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..24),
+        threads in 1usize..65,
+        crowd in 1usize..65,
+    ) {
+        let mut heap = Heap::new();
+        let nodes = build(&mut heap, &specs);
+        // `crowd` < `threads` leaves GC threads without roots: they
+        // start by stealing.
+        let mut roots_by_cap: Vec<Vec<NodeRef>> = vec![Vec::new(); threads];
+        for (node, cap) in &root_picks {
+            roots_by_cap[cap % crowd.min(threads)].push(nodes[node % nodes.len()]);
+        }
+        let costs = ParMarkCosts { mark_cell: 7, per_word: 3, steal: 40 };
+        let (clocks, grey_steals, marked) = par_mark_by_scan(&heap, &roots_by_cap, &costs);
+        let (res, report) = Collector::new().collect_parallel(&mut heap, &roots_by_cap, &costs);
+        prop_assert_eq!(report.cap_clocks, clocks);
+        prop_assert_eq!(report.grey_steals, grey_steals);
+        prop_assert_eq!(res.live_cells as usize, marked.len());
+        for n in &nodes {
+            prop_assert_eq!(heap.is_free(*n), !marked.contains(n), "node {} liveness", n);
+        }
+    }
 
     /// After a collection, a cell is free iff it was unreachable.
     #[test]

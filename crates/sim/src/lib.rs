@@ -15,6 +15,9 @@
 //! * [`CoreSet`] — physical cores with clocks and an OS-scheduler model
 //!   that time-slices more virtual PEs than cores (how the paper runs
 //!   9 or 17 PVM nodes on 8 cores in Fig. 4).
+//! * [`EarliestIndex`] — "which of n clocks is earliest, ties to the
+//!   lowest index?" in O(1), re-keyed in O(log n): the pick of both
+//!   event loops (the GpH capabilities, the `CoreSet` cores).
 //! * [`Costs`] — the calibrated cost model: one work unit ≈ 1 ns. All
 //!   overhead constants (GC handshakes, steal attempts, message
 //!   latency, context switches) live here, with the rationale for each
@@ -33,7 +36,7 @@ pub mod rng;
 pub mod sweep;
 pub mod topology;
 
-pub use cores::CoreSet;
+pub use cores::{CoreSet, EarliestIndex};
 pub use costs::Costs;
 pub use events::EventQueue;
 pub use rng::DetRng;

@@ -124,10 +124,10 @@ impl Apsp {
 
         // updateRow row_i row_k k: one relaxation (k is 1-based).
         let update_row = b.kernel("updateRow", 3, |heap, args| {
-            let row_i = heap.expect_value(args[0]).expect_darray().to_vec();
-            let row_k = heap.expect_value(args[1]).expect_darray().to_vec();
+            let row_i = heap.expect_value(args[0]).expect_darray();
+            let row_k = heap.expect_value(args[1]).expect_darray();
             let k = heap.expect_value(args[2]).expect_int() as usize - 1;
-            let (out, cost) = kernels::min_plus_update(&row_i, &row_k, k);
+            let (out, cost) = kernels::min_plus_update(row_i, row_k, k);
             let words = out.len() as u64;
             KernelOut {
                 result: heap.alloc_value(Value::DArray(out.into())),
@@ -138,13 +138,18 @@ impl Apsp {
         // updateRows rows row_k k: relax every row in the (NF) list.
         let update_rows = b.kernel("updateRows", 3, |heap, args| {
             let rows = read_rows(heap, args[0]);
-            let row_k = heap.expect_value(args[1]).expect_darray().to_vec();
+            let row_k = heap.expect_value(args[1]).expect_darray();
             let k = heap.expect_value(args[2]).expect_int() as usize - 1;
+            // Relax every row against the borrowed pivot first; the
+            // allocations (which need the heap back) follow in order.
+            let relaxed: Vec<(Vec<f64>, u64)> = rows
+                .iter()
+                .map(|row| kernels::min_plus_update(row, row_k, k))
+                .collect();
             let mut cost = 0u64;
-            let mut out_nodes = Vec::with_capacity(rows.len());
+            let mut out_nodes = Vec::with_capacity(relaxed.len());
             let mut words = 0u64;
-            for row in &rows {
-                let (out, c) = kernels::min_plus_update(row, &row_k, k);
+            for (out, c) in relaxed {
                 cost += c;
                 words += out.len() as u64;
                 out_nodes.push(heap.alloc_value(Value::DArray(out.into())));

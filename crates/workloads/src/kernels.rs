@@ -567,9 +567,36 @@ pub fn matmul_oracle(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
     c
 }
 
-/// Plain-Rust sumEuler oracle.
+/// Euler's totient from the prime factorisation of `k`, found by trial
+/// division: φ(k) = k · ∏ (1 − 1/p) over the distinct primes p | k,
+/// with the paper's φ(1) = 0. Shares nothing with the sieve kernels it
+/// is the oracle for; [`phi_counted`] remains the definition, and a
+/// test pins the two equal.
+fn phi_by_factorisation(k: i64) -> i64 {
+    if k <= 1 {
+        return 0;
+    }
+    let (mut phi, mut rest) = (k, k);
+    let mut p = 2;
+    while p * p <= rest {
+        if rest % p == 0 {
+            phi -= phi / p;
+            while rest % p == 0 {
+                rest /= p;
+            }
+        }
+        p += 1;
+    }
+    if rest > 1 {
+        phi -= phi / rest;
+    }
+    phi
+}
+
+/// Plain-Rust sumEuler oracle: O(n·√n), where summing the paper's
+/// definition ([`phi_counted`]) is O(n²) gcd loops.
 pub fn sum_euler_oracle(n: i64) -> i64 {
-    (1..=n).map(|k| phi_counted(k).0).sum()
+    (1..=n).map(phi_by_factorisation).sum()
 }
 
 #[cfg(test)]
@@ -585,6 +612,17 @@ mod tests {
         assert_eq!(phi_counted(6).0, 2);
         assert_eq!(phi_counted(10).0, 4);
         assert_eq!(phi_counted(12).0, 4);
+    }
+
+    #[test]
+    fn oracle_phi_equals_the_definition() {
+        for k in 0..=3_000 {
+            assert_eq!(phi_by_factorisation(k), phi_counted(k).0, "k={k}");
+        }
+        assert_eq!(
+            sum_euler_oracle(3_000),
+            (1..=3_000).map(|k| phi_counted(k).0).sum::<i64>()
+        );
     }
 
     #[test]

@@ -130,11 +130,11 @@ impl MatMul {
         });
         // blockMulAcc acc a b (Cannon's per-step kernel).
         let block_mul_acc = b.kernel("blockMulAcc", 3, |heap, args| {
-            let acc = heap.expect_value(args[0]).expect_darray().to_vec();
-            let a = heap.expect_value(args[1]).expect_darray().to_vec();
-            let bb = heap.expect_value(args[2]).expect_darray().to_vec();
+            let acc = heap.expect_value(args[0]).expect_darray();
+            let a = heap.expect_value(args[1]).expect_darray();
+            let bb = heap.expect_value(args[2]).expect_darray();
             let s = (acc.len() as f64).sqrt() as usize;
-            let (out, cost) = kernels::block_mul_acc(&acc, &a, &bb, s);
+            let (out, cost) = kernels::block_mul_acc(acc, a, bb, s);
             KernelOut {
                 result: heap.alloc_value(Value::DArray(out.into())),
                 cost,
