@@ -70,6 +70,7 @@
 //!   blocks land in the same wall-clock trace machinery, so Eden runs
 //!   render the same per-core timelines — now with message events.
 
+mod affinity;
 mod cancel;
 pub mod channel;
 mod eden;

@@ -20,6 +20,7 @@
 //!   park on the [`EventCount`] until a push or run completion wakes
 //!   them (see `park.rs` for the lost-wakeup argument).
 
+use crate::affinity::Homes;
 use crate::cancel::CancelToken;
 use crate::error::{JobPanicked, RunError};
 use crate::executor::{
@@ -46,6 +47,23 @@ const SPIN_SWEEPS: usize = 64;
 /// [`Pool::try_execute`]) instead of silently truncating indices.
 const MAX_RUN_TASKS: usize = u32::MAX as usize;
 
+/// A run at least this wide (tasks per worker) and this long in which
+/// some worker executed nothing is taken as evidence that the kernel
+/// has queued that worker behind another on one CPU (see
+/// `affinity.rs`): under lazy splitting a thief that got on a CPU at
+/// any time during such a run would have found a range to steal. The
+/// bounds keep ordinary short or narrow runs — where a late worker
+/// legitimately finds nothing left — from counting.
+const STARVED_MIN_TASKS_PER_WORKER: usize = 64;
+const STARVED_MIN_WALL: Duration = Duration::from_micros(200);
+
+/// Did a worker sit out a run it should have got a share of?
+fn starved(tasks: usize, wall: Duration, per_worker: &[u64]) -> bool {
+    tasks >= STARVED_MIN_TASKS_PER_WORKER * per_worker.len()
+        && wall >= STARVED_MIN_WALL
+        && per_worker.contains(&0)
+}
+
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -64,6 +82,9 @@ struct RunCmd {
     /// Cooperative cancel flag for this run, polled at range
     /// boundaries. `None` for uncancellable runs.
     cancel: Option<CancelToken>,
+    /// The previous run starved a worker: every worker moves to its
+    /// home CPU before it starts on this one.
+    respread: bool,
 }
 
 /// Per-worker, per-run counters, accumulated without synchronisation
@@ -134,6 +155,9 @@ struct Shared {
     /// fixed at pool construction.
     trace_on: bool,
     trace_cap: usize,
+    /// Where each worker goes when the pool re-spreads them; `None`
+    /// when it never does (see [`Homes::plan`]).
+    homes: Option<Homes>,
 }
 
 /// A persistent pool of worker threads executing [`Job`]s.
@@ -149,6 +173,8 @@ pub struct Pool {
     /// Most tasks per run; `MAX_RUN_TASKS` except in tests, which
     /// shrink it to exercise the chunking path at sane job sizes.
     run_cap: usize,
+    /// Set when a run starved a worker; consumed by the next run.
+    respread: bool,
 }
 
 impl Pool {
@@ -190,6 +216,7 @@ impl Pool {
             seed: cfg.seed,
             trace_on: cfg.trace,
             trace_cap: cfg.trace_cap,
+            homes: Homes::plan(workers),
         });
         let handles = owners
             .into_iter()
@@ -208,6 +235,7 @@ impl Pool {
             mode: cfg.mode,
             granularity: cfg.granularity,
             run_cap: MAX_RUN_TASKS,
+            respread: false,
         }
     }
 
@@ -324,6 +352,7 @@ impl Pool {
                     granularity: self.granularity,
                     clock,
                     cancel: cancel.cloned(),
+                    respread: std::mem::take(&mut self.respread),
                 });
                 ctrl.run_seq += 1;
                 ctrl.done = 0;
@@ -350,7 +379,9 @@ impl Pool {
                 }
                 collect_stats(&ctrl.worker_stats)
             };
-            wall += start.elapsed();
+            let chunk_wall = start.elapsed();
+            wall += chunk_wall;
+            self.respread = starved(count, chunk_wall, &chunk_stats.per_worker);
 
             // Abort checks, in precedence order: a panic trumps a
             // cancel that raced in during the same chunk. On either,
@@ -450,6 +481,9 @@ fn worker_main(me: usize, local: Worker<Range32>, shared: Arc<Shared>) {
             }
         };
 
+        if let (true, Some(homes)) = (cmd.respread, &shared.homes) {
+            homes.send_home(me);
+        }
         tbuf.begin_run(cmd.clock);
         // Re-seed per run, so identical configs replay byte-identical
         // probe sequences no matter how many runs preceded them.
@@ -742,6 +776,31 @@ mod tests {
         fn run(&self, idx: usize) -> u64 {
             (idx as u64) * (idx as u64)
         }
+    }
+
+    #[test]
+    fn only_a_wide_long_run_with_an_idle_worker_counts_as_starved() {
+        let wide = STARVED_MIN_TASKS_PER_WORKER * 2;
+        let long = STARVED_MIN_WALL;
+        assert!(starved(wide, long, &[wide as u64, 0]));
+        // Everyone got a share, however uneven.
+        assert!(!starved(wide, long, &[wide as u64 - 1, 1]));
+        // Too narrow or too short for a late worker to prove anything.
+        assert!(!starved(wide - 1, long, &[wide as u64 - 1, 0]));
+        assert!(!starved(
+            wide,
+            long - Duration::from_nanos(1),
+            &[wide as u64, 0]
+        ));
+    }
+
+    #[test]
+    fn a_run_that_re_spreads_the_workers_first_runs_as_any_other() {
+        let mut pool = Pool::new(&NativeConfig::steal(2));
+        pool.respread = true;
+        let out = pool.try_execute(&Squares(100)).unwrap();
+        assert_eq!(out.values, (0..100u64).map(|i| i * i).collect::<Vec<_>>());
+        assert!(!pool.respread, "asked of one run only");
     }
 
     /// Jobs longer than the per-run cap (u32::MAX in production,
