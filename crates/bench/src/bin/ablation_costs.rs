@@ -10,12 +10,13 @@
 //! cargo run -p rph-bench --release --bin ablation_costs [--quick]
 //! ```
 
+use rph::prelude::*;
+use rph::sim::Costs;
 use rph_bench::*;
-use rph_core::prelude::*;
-use rph_core::sim::Costs;
 use rph_workloads::SumEuler;
 
 fn main() {
+    check_args(&[]);
     let n = if quick() { 2_000 } else { 8_000 };
     let caps = INTEL_CORES;
     let w = SumEuler::new(n);

@@ -8,11 +8,12 @@
 //! cargo run -p rph-bench --release --bin ablation_ladder [--quick]
 //! ```
 
+use rph::prelude::*;
 use rph_bench::*;
-use rph_core::prelude::*;
 use rph_workloads::SumEuler;
 
 fn main() {
+    check_args(&[]);
     let n = sum_euler_n();
     let caps = INTEL_CORES;
     let w = SumEuler::new(n);
@@ -100,7 +101,7 @@ fn main() {
     ]);
     {
         let mut c = full.clone();
-        c.alloc_area_words = rph_core::heap::AllocArea::DEFAULT_AREA_WORDS;
+        c.alloc_area_words = rph::heap::AllocArea::DEFAULT_AREA_WORDS;
         run("small allocation area again", c, &mut t2, fbase);
     }
     {

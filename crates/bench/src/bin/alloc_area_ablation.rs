@@ -3,18 +3,22 @@
 //! per-capability nurseries (ROADMAP item 1) close it.
 //!
 //! Rows climb from the paper's stop-the-world baseline through its
-//! mitigations (bigger nursery, cheaper barrier), past the §VI
-//! semi-distributed cost fiction, to the real mechanism: private
-//! nurseries collected independently plus a parallel major GC. The
-//! Eden row is the target profile — no global stops at all.
+//! mitigations (bigger nursery, cheaper barrier) to the §VI
+//! mechanism: private nurseries collected independently plus a
+//! parallel major GC. The Eden row is the target profile — no global
+//! stops at all.
 //!
 //! ```text
 //! cargo run -p rph-bench --release --bin alloc_area_ablation [--quick]
 //! ```
 
+use rph::prelude::*;
 use rph_bench::*;
-use rph_core::prelude::*;
 use rph_workloads::SumEuler;
+
+/// The two rows the shape gate compares.
+const STW: &str = "stop-the-world, small area";
+const NURSERY: &str = "per-capability nurseries + parallel major";
 
 struct Row {
     label: &'static str,
@@ -27,6 +31,7 @@ struct Row {
 }
 
 fn main() {
+    check_args(&[]);
     let n = sum_euler_n();
     let caps = INTEL_CORES;
     let w = SumEuler::new(n);
@@ -34,7 +39,7 @@ fn main() {
     println!("Allocation-area / heap-organisation ablation — sumEuler [1..{n}] on {caps} cores\n");
 
     let gph_rows: Vec<(&'static str, GphConfig)> = vec![
-        ("stop-the-world, small area", GphConfig::ghc69_plain(caps)),
+        (STW, GphConfig::ghc69_plain(caps)),
         (
             "stop-the-world, big area",
             GphConfig::ghc69_plain(caps).with_big_alloc_area(),
@@ -46,11 +51,7 @@ fn main() {
                 .with_improved_gc_sync(),
         ),
         (
-            "semi-distributed fiction (global every 8)",
-            GphConfig::ghc69_plain(caps).with_semi_distributed_heap(8),
-        ),
-        (
-            "per-capability nurseries + parallel major",
+            NURSERY,
             GphConfig::ghc69_plain(caps).with_per_cap_nurseries(),
         ),
     ];
@@ -111,8 +112,13 @@ fn main() {
     let rendered = table.render();
     println!("{rendered}");
 
-    let stw = &rows[0];
-    let nursery = &rows[4];
+    let by_label = |label: &str| {
+        rows.iter()
+            .find(|r| r.label == label)
+            .expect("row is in the table")
+    };
+    let stw = by_label(STW);
+    let nursery = by_label(NURSERY);
     let stw_gap = stw.elapsed as f64 / eden_elapsed as f64;
     let nursery_gap = nursery.elapsed as f64 / eden_elapsed as f64;
     println!(

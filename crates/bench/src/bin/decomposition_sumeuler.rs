@@ -9,11 +9,12 @@
 //! cargo run -p rph-bench --release --bin decomposition_sumeuler [--quick]
 //! ```
 
+use rph::prelude::*;
 use rph_bench::*;
-use rph_core::prelude::*;
 use rph_workloads::SumEuler;
 
 fn main() {
+    check_args(&[]);
     let n = sum_euler_n();
     let caps = INTEL_CORES;
     let w = SumEuler::new(n);

@@ -7,14 +7,14 @@
 //! cargo run -p rph-bench --release --bin fig2_sumeuler_traces [--quick] [--color]
 //! ```
 
+use rph::prelude::*;
 use rph_bench::*;
-use rph_core::prelude::*;
 use rph_workloads::SumEuler;
 
 fn main() {
+    let color = check_args(&["--color"]).has("--color");
     let n = sum_euler_n();
     let caps = INTEL_CORES;
-    let color = std::env::args().any(|a| a == "--color");
     let w = SumEuler::new(n).with_check();
     let expected = w.expected();
     println!("Fig. 2 — sumEuler [1..{n}] runtime traces, {caps} capabilities");
@@ -46,13 +46,13 @@ fn main() {
         let st = TraceStats::from_parts(&tracer, &tl);
         println!(
             "   running {:>5.1}%  runnable {:>4.1}%  gc {:>4.1}%  idle {:>4.1}%  blocked {:>4.1}%\n",
-            st.fraction(rph_core::trace::State::Running) * 100.0,
-            st.fraction(rph_core::trace::State::Runnable) * 100.0,
-            st.fraction(rph_core::trace::State::Gc) * 100.0,
-            st.fraction(rph_core::trace::State::Idle) * 100.0,
-            st.fraction(rph_core::trace::State::Blocked) * 100.0,
+            st.fraction(rph::trace::State::Running) * 100.0,
+            st.fraction(rph::trace::State::Runnable) * 100.0,
+            st.fraction(rph::trace::State::Gc) * 100.0,
+            st.fraction(rph::trace::State::Idle) * 100.0,
+            st.fraction(rph::trace::State::Blocked) * 100.0,
         );
-        for line in rph_core::trace::render_csv(&tl).lines().skip(1) {
+        for line in rph::trace::render_csv(&tl).lines().skip(1) {
             csv_all.push_str(tag);
             csv_all.push(',');
             csv_all.push_str(line);
@@ -60,7 +60,7 @@ fn main() {
         }
         write_artifact(
             &format!("fig2_trace_{tag}.svg"),
-            &rph_core::trace::render_svg(&tl, 900, 16),
+            &rph::trace::render_svg(&tl, 900, 16),
         );
     }
     println!("legend: #=running ~=runnable x=blocked .=idle G=gc -=descheduled");

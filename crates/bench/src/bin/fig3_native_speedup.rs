@@ -13,8 +13,8 @@
 //! cargo run -p rph-bench --release --bin fig3_native_speedup [--quick]
 //! ```
 
+use rph::prelude::*;
 use rph_bench::*;
-use rph_core::prelude::*;
 use rph_native::{Distribution, NativeConfig};
 use rph_workloads::{registry, NativeWorkload};
 use std::time::Duration;
@@ -81,6 +81,7 @@ fn report(name: &str, points: &[Point]) -> String {
 }
 
 fn main() {
+    check_args(&[]);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);

@@ -8,14 +8,14 @@
 //! cargo run -p rph-bench --release --bin fig4_matmul_traces [--quick] [--color]
 //! ```
 
+use rph::prelude::*;
 use rph_bench::*;
-use rph_core::prelude::*;
 use rph_workloads::MatMul;
 
 fn main() {
-    let n = matmul_traces_n();
+    let color = check_args(&["--color"]).has("--color");
+    let n = matmul_n();
     let cores = INTEL_CORES;
-    let color = std::env::args().any(|a| a == "--color");
     println!("Fig. 4 — {n}×{n} matrix multiplication traces, {cores} cores\n");
     let opts = RenderOptions {
         width: 110,
@@ -91,7 +91,7 @@ fn main() {
         }
         write_artifact(
             &format!("fig4_trace_{tag}.svg"),
-            &rph_core::trace::render_svg(&tl, 900, 16),
+            &rph::trace::render_svg(&tl, 900, 16),
         );
         times.push((cfg.label.clone(), m.elapsed));
     }

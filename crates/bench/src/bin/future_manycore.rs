@@ -4,19 +4,20 @@
 //!
 //! This binary pushes sumEuler to 8–64 cores and compares:
 //!   * stop-the-world GpH (the paper's best configuration),
-//!   * the same + the §VI semi-distributed heap (local nursery
-//!     collections, global collection every 8th),
+//!   * the same + the §VI semi-distributed heap as a mechanism
+//!     (per-capability nurseries, parallel major collection),
 //!   * Eden's fully distributed heaps.
 //!
 //! ```text
 //! cargo run -p rph-bench --release --bin future_manycore [--quick]
 //! ```
 
+use rph::prelude::*;
 use rph_bench::*;
-use rph_core::prelude::*;
 use rph_workloads::SumEuler;
 
 fn main() {
+    check_args(&[]);
     let n = sum_euler_n();
     let w = SumEuler::new(n).with_chunk_size((n / 600).max(1)); // finer grains for 64 caps
     let expected = w.expected();
@@ -30,7 +31,7 @@ fn main() {
         "cores",
         "GpH stop-the-world",
         "(global GCs)",
-        "GpH semi-distributed heap",
+        "GpH per-capability nurseries",
         "(global GCs)",
         "Eden distributed heaps",
     ]);
@@ -41,10 +42,10 @@ fn main() {
             .without_trace();
         let stw = w.run_gph(stw_cfg.clone()).expect("stw");
         check(&stw, expected, "stw");
-        let semi = w
-            .run_gph(stw_cfg.with_semi_distributed_heap(8))
-            .expect("semi");
-        check(&semi, expected, "semi");
+        let nursery = w
+            .run_gph(stw_cfg.with_per_cap_nurseries())
+            .expect("nursery");
+        check(&nursery, expected, "nursery");
         let eden = w
             .run_eden(EdenConfig::new(cores).without_trace())
             .expect("eden");
@@ -53,15 +54,15 @@ fn main() {
             cores.to_string(),
             format!("{:.2}", seq.elapsed as f64 / stw.elapsed as f64),
             stw.gph_stats.as_ref().unwrap().gcs.to_string(),
-            format!("{:.2}", seq.elapsed as f64 / semi.elapsed as f64),
-            semi.gph_stats.as_ref().unwrap().gcs.to_string(),
+            format!("{:.2}", seq.elapsed as f64 / nursery.elapsed as f64),
+            nursery.gph_stats.as_ref().unwrap().gcs.to_string(),
             format!("{:.2}", seq.elapsed as f64 / eden.elapsed as f64),
         ]);
     }
     let rendered = table.render();
     println!("{rendered}");
     println!("(Default nursery size on purpose: the stop-the-world barrier cost");
-    println!("grows with the core count, which is exactly what the semi-distributed");
-    println!("and fully distributed models avoid.)");
+    println!("grows with the core count, which is exactly what the per-capability");
+    println!("nurseries and the fully distributed model avoid.)");
     write_artifact("future_manycore.csv", &table.to_csv());
 }

@@ -14,23 +14,16 @@
 //! ```
 
 use rph_bench::granularity::Ablation;
-use rph_bench::{granularity, quick, write_artifact};
-
-fn ablation_arg() -> Ablation {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--ablation" {
-            let v = args.next().unwrap_or_default();
-            return Ablation::parse(&v).unwrap_or_else(|| {
-                eprintln!("unknown --ablation value {v:?}; expected granularity, pool-reuse, steal-policy or all");
-                std::process::exit(2);
-            });
-        }
-    }
-    Ablation::All
-}
+use rph_bench::{check_args, granularity, quick, write_artifact};
 
 fn main() {
+    let args = check_args(&["--ablation <v>"]);
+    let ablation = args.value("--ablation").map_or(Ablation::All, |v| {
+        Ablation::parse(v).unwrap_or_else(|| {
+            eprintln!("unknown --ablation value {v:?}; expected granularity, pool-reuse, steal-policy or all");
+            std::process::exit(2);
+        })
+    });
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -44,6 +37,6 @@ fn main() {
              when there is no real parallelism to schedule\n"
         );
     }
-    let csv = granularity::run(quick(), ablation_arg());
+    let csv = granularity::run(quick(), ablation);
     write_artifact("granularity_ablation.csv", &csv);
 }

@@ -23,8 +23,8 @@
 //! cargo run -p rph-bench --release --bin oversub_sweep [--quick]
 //! ```
 
+use rph::prelude::*;
 use rph_bench::*;
-use rph_core::prelude::*;
 use rph_workloads::{NQueens, SumEuler};
 use std::time::Duration;
 
@@ -270,6 +270,7 @@ fn assert_topology_gates(points: &[TopoPoint]) {
 }
 
 fn main() {
+    check_args(&[]);
     let mut oversub_rows = Vec::new();
     let points = native_oversub(&mut oversub_rows);
     assert_oversub_gate(&points);

@@ -21,8 +21,8 @@
 //! `--eden` renders only the Eden-backend sections (the CI smoke step
 //! runs `--quick --eden`).
 
+use rph::prelude::*;
 use rph_bench::*;
-use rph_core::prelude::*;
 use rph_native::{BackendKind, NativeConfig};
 use rph_trace::{render_csv, render_timeline, Counters, RenderOptions, State, Timeline};
 use rph_workloads::{registry, NativeWorkload, Scale};
@@ -189,7 +189,7 @@ fn overhead_report(scale: Scale) {
 }
 
 fn main() {
-    let eden = eden_only();
+    let eden = check_args(&["--eden"]).has("--eden");
     let scale = bench_scale();
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())

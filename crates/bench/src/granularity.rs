@@ -13,7 +13,7 @@
 //! scheduling bill. Shared by `fig3_native_speedup` and the
 //! `granularity_ablation` smoke binary.
 
-use rph_core::prelude::*;
+use rph::prelude::*;
 use rph_native::{Granularity, NativeConfig, StealPolicy};
 use rph_workloads::{Apsp, NativeWorkload, SumEuler};
 use std::time::Duration;

@@ -1,39 +1,43 @@
 //! # rph-bench — regenerating every table and figure of the paper
 //!
-//! One binary per table/figure (run with `--release`):
+//! One binary per table, figure or ablation (run with `--release`);
+//! the three speedup figures share one:
 //!
 //! | paper artifact | binary |
 //! |---|---|
 //! | Fig. 1 — sumEuler runtimes table | `fig1_sumeuler_table` |
 //! | Fig. 2 — sumEuler runtime traces | `fig2_sumeuler_traces` |
-//! | Fig. 3 left — sumEuler speedups 1–16 cores | `fig3_speedup_sumeuler` |
-//! | Fig. 3 right — matmul speedups 1–16 cores | `fig3_speedup_matmul` |
+//! | Fig. 3 left — sumEuler speedups 1–16 cores | `speedup --workload sum_euler` |
+//! | Fig. 3 right — matmul speedups 1–16 cores | `speedup --workload matmul` |
 //! | Fig. 4 — matmul traces incl. PE oversubscription | `fig4_matmul_traces` |
-//! | Fig. 5 — shortest-paths speedups | `fig5_speedup_apsp` |
+//! | Fig. 5 — shortest-paths speedups | `speedup --workload apsp` |
 //! | §IV ablations — each optimisation in isolation | `ablation_ladder` |
 //! | cost-model robustness | `ablation_costs` |
+//! | task decomposition (sumEuler chunking) | `decomposition_sumeuler` |
+//! | heap organisation: stop-the-world → per-capability nurseries | `alloc_area_ablation` |
+//! | §VI — scaling beyond 16 cores | `future_manycore` |
 //! | native wall-clock speedups (real threads) | `fig3_native_speedup` |
 //! | native wall-clock traces + overhead report | `trace_native` |
+//! | native scheduling ablations (granularity, pool reuse, victim choice) | `granularity_ablation` |
 //! | §V oversubscription + cluster topology ablation | `oversub_sweep` |
 //!
 //! Every binary accepts `--quick` for a reduced problem size (used by
-//! CI and the criterion benches) and writes machine-readable CSV next
-//! to its textual output under `target/paper-figures/`.
+//! CI), rejects any flag it does not know ([`check_args`]) and writes
+//! machine-readable CSV next to its textual output under
+//! `target/paper-figures/`.
 //!
-//! The criterion benches (`cargo bench -p rph-bench`) report the same
-//! quantities through criterion's statistics machinery: since the
-//! metric of interest is *virtual* time (the simulated multicore's
-//! clock), each bench uses `iter_custom` to feed criterion the virtual
-//! nanoseconds of the run — so criterion's output reads in the paper's
-//! units directly. Runs are deterministic; criterion's variance
-//! estimates show ~0.
+//! These binaries answer "does the reproduction still show the paper's
+//! figures"; "how fast is the code" is `benchmark/`'s question (see
+//! `benchmark/README.md`), and no number printed here is a perf
+//! baseline.
 
 pub mod granularity;
 pub mod oracles;
 
-use rph_core::prelude::*;
+use rph::prelude::*;
 use rph_native::NativeConfig;
-use rph_workloads::{registry, Measured, NativeMeasured, NativeWorkload, Scale};
+use rph_workloads::{Measured, NativeMeasured, NativeWorkload, Scale};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// The per-figure output directory (`target/paper-figures`).
@@ -50,15 +54,68 @@ pub fn write_artifact(name: &str, contents: &str) {
     println!("[wrote {}]", path.display());
 }
 
+/// A binary's checked command line ([`check_args`]): the flags
+/// present, with the value of those that take one.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Args(BTreeMap<&'static str, Option<String>>);
+
+impl Args {
+    /// Was the switch `flag` given?
+    pub fn has(&self, flag: &str) -> bool {
+        self.0.contains_key(flag)
+    }
+
+    /// The value given for `flag`, if it was given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.0.get(flag)?.as_deref()
+    }
+}
+
+/// Check `args` (without the program name) against what a binary
+/// accepts: `--quick` always, plus `extra`, where an entry written
+/// `"--flag <v>"` takes one value. A mistyped flag would otherwise
+/// silently run the multi-minute full-scale figure.
+pub fn parse_args(
+    args: impl IntoIterator<Item = String>,
+    extra: &[&'static str],
+) -> Result<Args, String> {
+    let mut seen = BTreeMap::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let (flag, takes_value) = ["--quick"]
+            .iter()
+            .chain(extra)
+            .map(|spec| match spec.split_once(' ') {
+                Some((flag, _)) => (flag, true),
+                None => (*spec, false),
+            })
+            .find(|(flag, _)| *flag == arg)
+            .ok_or_else(|| format!("unknown argument {arg:?}"))?;
+        let value = takes_value
+            .then(|| {
+                args.next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            })
+            .transpose()?;
+        seen.insert(flag, value);
+    }
+    Ok(Args(seen))
+}
+
+/// [`parse_args`] on the process's command line: every binary calls
+/// this first with the flags it accepts besides `--quick`. Anything
+/// else prints the accepted flags and exits with status 2.
+pub fn check_args(extra: &[&'static str]) -> Args {
+    parse_args(std::env::args().skip(1), extra).unwrap_or_else(|err| {
+        eprintln!("{err}; accepted: --quick {}", extra.join(" "));
+        std::process::exit(2);
+    })
+}
+
 /// True when `--quick` was passed (reduced sizes).
 pub fn quick() -> bool {
     std::env::args().any(|a| a == "--quick")
-}
-
-/// True when `--eden` was passed (`trace_native` only: restrict to the
-/// native Eden backend sections — the CI smoke step uses this).
-pub fn eden_only() -> bool {
-    std::env::args().any(|a| a == "--eden")
 }
 
 /// The registry [`Scale`] selected by the command line: `--quick`
@@ -75,10 +132,6 @@ pub fn bench_scale() -> Scale {
 /// workload at one worker count, each rep checksum-checked against the
 /// plain-Rust oracle before it was kept.
 pub struct SweepPoint {
-    /// [`NativeWorkload::name`] of the swept workload.
-    pub workload: String,
-    /// [`NativeWorkload::default_params`] of the swept workload.
-    pub params: String,
     /// Worker (or PE) count of this point.
     pub workers: usize,
     /// All reps, in run order (unsorted).
@@ -86,16 +139,6 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
-    /// The median-wall-time rep (upper-middle for even rep counts) —
-    /// counters reported from this rep come from the same run as the
-    /// reported time.
-    pub fn median(&self) -> &NativeMeasured {
-        assert!(!self.samples.is_empty());
-        let mut order: Vec<usize> = (0..self.samples.len()).collect();
-        order.sort_by_key(|&i| self.samples[i].wall);
-        &self.samples[order[order.len() / 2]]
-    }
-
     /// The fastest rep — the best-of statistic the wall-clock gates
     /// use (this shared host shows ~1.5× run-to-run noise, and best-of
     /// is the stable statistic).
@@ -110,8 +153,8 @@ impl SweepPoint {
 /// Sweep one workload across `workers` on the config `make_cfg`
 /// builds, `reps` checksum-checked runs per point. This is the one
 /// rep/sweep loop every native harness shares; the per-binary policy
-/// (median vs best-of, which counters to report, which gates to
-/// enforce) stays in the binary.
+/// (which counters to report, which gates to enforce) stays in the
+/// binary.
 pub fn sweep_workload(
     w: &dyn NativeWorkload,
     workers: &[usize],
@@ -127,32 +170,11 @@ pub fn sweep_workload(
                 .map(|_| oracles::checked_run(w, &cfg, &ctx))
                 .collect();
             SweepPoint {
-                workload: w.name().to_string(),
-                params: w.default_params(),
                 workers: k,
                 samples,
             }
         })
         .collect()
-}
-
-/// [`sweep_workload`] over the whole workload [`registry`] at `scale`,
-/// flattened workload-major (every worker count of workload 0, then
-/// workload 1, …). Replaces the hard-coded
-/// `[(&dyn NativeWorkload, String); 4]` tables the bench binaries used
-/// to carry — adding a workload to the registry now adds it to every
-/// harness.
-pub fn sweep_registry(
-    scale: Scale,
-    workers: &[usize],
-    reps: usize,
-    mut make_cfg: impl FnMut(usize) -> NativeConfig,
-) -> Vec<SweepPoint> {
-    let mut out = Vec::new();
-    for w in registry(scale) {
-        out.extend(sweep_workload(w.as_ref(), workers, reps, &mut make_cfg));
-    }
-    out
 }
 
 /// The paper's machines: the Intel 8-core (Figs. 1, 2, 4) and the AMD
@@ -174,18 +196,9 @@ pub fn sum_euler_n() -> i64 {
     }
 }
 
-/// Matrix size for the Fig. 4 traces (paper: 1000×1000).
-pub fn matmul_traces_n() -> usize {
-    if quick() {
-        240
-    } else {
-        960
-    }
-}
-
-/// Matrix size for the Fig. 3 speedups (paper: 2000×2000; the default
-/// here is reduced — pass nothing for 960, which preserves the shape).
-pub fn matmul_speedup_n() -> usize {
+/// Matrix size for the Fig. 3 speedups and the Fig. 4 traces (paper:
+/// 2000×2000 and 1000×1000; 960 preserves the shapes).
+pub fn matmul_n() -> usize {
     if quick() {
         240
     } else {
@@ -258,6 +271,43 @@ mod tests {
         assert!(v[0].label().contains("plain"));
         assert!(v[3].label().contains("work stealing"));
         assert!(v[4].label().contains("Eden"));
+    }
+
+    fn parse(args: &[&str], extra: &[&'static str]) -> Result<Args, String> {
+        parse_args(args.iter().map(|a| a.to_string()), extra)
+    }
+
+    #[test]
+    fn args_accepts_what_the_binary_lists() {
+        assert_eq!(parse(&[], &[]), Ok(Args(BTreeMap::new())));
+        let a = parse(
+            &["--ablation", "pool-reuse", "--quick"],
+            &["--eden", "--ablation <v>"],
+        )
+        .unwrap();
+        assert!(a.has("--quick") && !a.has("--eden"));
+        assert_eq!(a.value("--ablation"), Some("pool-reuse"));
+        assert_eq!(a.value("--quick"), None);
+    }
+
+    #[test]
+    fn args_rejects_typos_and_other_binaries_flags() {
+        for bad in ["--quik", "--smoke", "--workload", "quick"] {
+            let err = parse(&["--quick", bad], &["--color"]).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+        // A value is not consumed by a flag that takes none.
+        assert!(parse(&["--color", "red"], &["--color"]).is_err());
+    }
+
+    #[test]
+    fn args_rejects_a_missing_value() {
+        let extra = ["--workload <v>"];
+        assert_eq!(
+            parse(&["--workload"], &extra),
+            Err("--workload needs a value".to_string())
+        );
+        assert!(parse(&["--workload", "--quick"], &extra).is_err());
     }
 
     #[test]

@@ -2,11 +2,8 @@
 //!
 //! Every harness that times a native run must first prove the run
 //! computed the right answer — a fast wrong kernel is a reproduction
-//! bug, not a result. Three binaries grew three near-identical inline
-//! `assert_eq!(m.value, expected, …)` blocks for this; they now share
-//! these two helpers so the failure message (and the policy that
-//! *every* timed run is checked, not just the first) lives in one
-//! place.
+//! bug, not a result. The failure message, and the policy that
+//! *every* timed run is checked, not just the first, live here.
 
 use rph_native::NativeConfig;
 use rph_workloads::{NativeMeasured, NativeWorkload};

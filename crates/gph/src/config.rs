@@ -33,19 +33,9 @@ pub enum GcModel {
     /// GHC 6.x: one shared heap, every collection stops the world
     /// (the configuration the paper measures).
     StopTheWorld,
-    /// The paper's §VI proposal (after Doligez & Leroy): capabilities
-    /// collect their own nurseries *independently*, and only every
-    /// `global_every`-th collection (per capability) joins a global
-    /// stop-the-world collection of the shared heap. "The overhead can
-    /// be reduced by using a semi-distributed heap model."
-    ///
-    /// NOTE: this mode is a *cost fiction* kept for comparison — its
-    /// local collections reclaim nothing and price their pause off
-    /// global heap size. [`GcModel::PerCapNurseries`] is the real
-    /// mechanism.
-    SemiDistributed { global_every: u32 },
-    /// Real per-capability nurseries (after *Garbage Collection for
-    /// Multicore NUMA Machines*): each capability allocates into a
+    /// The paper's §VI "semi-distributed heap" proposal as a mechanism:
+    /// per-capability nurseries (after *Garbage Collection for
+    /// Multicore NUMA Machines*). Each capability allocates into a
     /// private region; write barriers record cross-region references
     /// in per-region remembered sets; an exhausted nursery is collected
     /// *independently* (survivors promoted to the shared old
@@ -87,8 +77,8 @@ pub struct GphConfig {
     pub black_holing: BlackHoling,
     /// Spark execution policy.
     pub spark_exec: SparkExec,
-    /// GC organisation (stop-the-world, or the §VI semi-distributed
-    /// future-work model).
+    /// GC organisation (stop-the-world, or the §VI future-work model:
+    /// per-capability nurseries).
     pub gc_model: GcModel,
     /// Future-work extension (§IV.A.2: "Work pulling could also be
     /// applied to threads"): idle capabilities steal runnable threads,
@@ -184,23 +174,14 @@ impl GphConfig {
         self
     }
 
-    /// §VI future work: the semi-distributed heap model — local
-    /// nursery collections with a global stop-the-world collection
-    /// only every `global_every` local ones.
-    pub fn with_semi_distributed_heap(mut self, global_every: u32) -> Self {
-        assert!(global_every >= 1);
-        self.gc_model = GcModel::SemiDistributed { global_every };
-        self
-    }
-
     /// §IV.A.2 future work: steal runnable threads as well as sparks.
     pub fn with_thread_stealing(mut self) -> Self {
         self.thread_stealing = true;
         self
     }
 
-    /// Real per-capability nurseries + parallel major GC (ROADMAP
-    /// item 1): independent minor collections per capability, global
+    /// §VI future work: per-capability nurseries + parallel major GC —
+    /// independent minor collections per capability, global
     /// collections only when the old generation has grown, with the
     /// mark phase spread over parallel GC threads.
     pub fn with_per_cap_nurseries(mut self) -> Self {

@@ -41,9 +41,6 @@ struct Cap {
     stopped_for_gc: Option<Time>,
     /// Last traced state (to emit transitions only).
     last_state: Option<State>,
-    /// Local collections since the last global one (semi-distributed
-    /// heap model).
-    locals_since_global: u32,
 }
 
 impl Cap {
@@ -121,7 +118,6 @@ impl GphRuntime {
                 sparks: DetDeque::new(config.spark_pool_cap),
                 stopped_for_gc: None,
                 last_state: None,
-                locals_since_global: 0,
             })
             .collect();
         let tracer = if config.trace {
@@ -598,10 +594,10 @@ impl GphRuntime {
     /// GC-request flags at an allocation checkpoint.
     fn scheduler_checkpoint(&mut self, idx: usize) {
         // 1. Our allocation area is exhausted: collect. Under the
-        // stop-the-world model this requests the global barrier; under
-        // the semi-distributed model (§VI future work) the capability
-        // collects its own nursery locally, and only every n-th local
-        // collection escalates to a global one.
+        // stop-the-world model this requests the global barrier; with
+        // per-capability nurseries (§VI future work) the capability
+        // collects its own nursery locally and escalates to a global
+        // collection only when the old generation has grown.
         if self.caps[idx].area.needs_gc() && self.gc.is_none() {
             match self.config.gc_model {
                 GcModel::StopTheWorld => {
@@ -613,21 +609,6 @@ impl GphRuntime {
                     self.gc = Some(GcPhase {
                         request_time: self.caps[idx].clock,
                     });
-                }
-                GcModel::SemiDistributed { global_every } => {
-                    if self.caps[idx].locals_since_global + 1 >= global_every {
-                        self.caps[idx].locals_since_global = 0;
-                        self.tracer.record(
-                            self.caps[idx].id,
-                            self.caps[idx].clock,
-                            EventKind::GcRequest,
-                        );
-                        self.gc = Some(GcPhase {
-                            request_time: self.caps[idx].clock,
-                        });
-                    } else {
-                        self.local_gc(idx);
-                    }
                 }
                 GcModel::PerCapNurseries => {
                     // Collect our own nursery independently; escalate
@@ -738,27 +719,6 @@ impl GphRuntime {
 
     fn all_spark_pools_empty(&self) -> bool {
         self.caps.iter().all(|c| c.sparks.is_empty())
-    }
-
-    /// A local nursery collection (semi-distributed heap model): no
-    /// barrier, no other capability involved. Only the nursery's
-    /// survivors are evacuated to the shared heap; the real mark–sweep
-    /// of shared data happens at the periodic global collections.
-    ///
-    /// This is a cost fiction kept for comparison: nothing is actually
-    /// reclaimed, and the pause is priced off *global* live words —
-    /// exactly the coupling [`GphRuntime::minor_gc`] removes.
-    fn local_gc(&mut self, idx: usize) {
-        let survivors =
-            (self.heap.live_words() / self.caps.len() as u64).min(self.config.alloc_area_words);
-        let pause = self.config.costs.gc_pause_local(survivors);
-        self.set_state(idx, State::Gc);
-        self.caps[idx].clock += pause;
-        self.caps[idx].area.reset_after_gc();
-        self.caps[idx].locals_since_global += 1;
-        self.stats.local_gcs += 1;
-        self.stats.minor_gc_time += pause;
-        self.set_state(idx, State::Running);
     }
 
     /// A real independent minor collection of this capability's
@@ -944,7 +904,7 @@ impl GphRuntime {
                 );
                 (res, pause)
             }
-            GcModel::StopTheWorld | GcModel::SemiDistributed { .. } => {
+            GcModel::StopTheWorld => {
                 // Serial collection, as in GHC 6.8 (the paper's
                 // reference 29 parallel collector is "still
                 // stop-the-world" and not what it measures).
@@ -987,9 +947,6 @@ impl GphRuntime {
             self.stats.gc_pause += pause;
             self.caps[idx].clock = end;
             self.caps[idx].area.reset_after_gc();
-            // A global collection covers every nursery: local-collection
-            // counters start over (semi-distributed model).
-            self.caps[idx].locals_since_global = 0;
             self.set_state(idx, State::Runnable);
         }
         self.tracer.record(

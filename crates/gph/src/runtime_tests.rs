@@ -342,15 +342,15 @@ fn eager_blackholing_prevents_duplicate_shared_work() {
     );
 }
 
-/// §VI future work: the semi-distributed heap model must produce the
-/// same results and collect mostly locally, cutting stop-the-world
-/// count roughly by its `global_every` factor.
+/// §VI future work: the semi-distributed heap model (per-capability
+/// nurseries) must produce the same results and collect mostly
+/// locally, cutting the stop-the-world count sharply.
 #[test]
 fn semi_distributed_heap_reduces_global_collections() {
     let stw = GphConfig::ghc69_plain(8).without_trace();
     let (v1, o1) = run_with(stw, 64, 100_000, 30_000);
     let semi = GphConfig::ghc69_plain(8)
-        .with_semi_distributed_heap(8)
+        .with_per_cap_nurseries()
         .without_trace();
     let (v2, o2) = run_with(semi, 64, 100_000, 30_000);
     assert_eq!(v1, v2);
@@ -460,7 +460,6 @@ fn gc_model_matrix_preserves_results() {
     for caps in [1, 2, 4, 8] {
         for (name, model) in [
             ("stw", GcModel::StopTheWorld),
-            ("semi", GcModel::SemiDistributed { global_every: 8 }),
             ("percap", GcModel::PerCapNurseries),
         ] {
             let mut c = GphConfig::ghc69_plain(caps)
@@ -529,13 +528,11 @@ fn per_cap_nurseries_cut_global_gcs_and_stopped_time() {
     );
 }
 
-/// Regression for the cost-model bug the semi-distributed fiction
-/// papers over: a capability's minor-GC pause must depend only on its
-/// *own* survivors, never on how big the rest of the heap happens to
-/// be. We pin a ballast structure in the old generation (reachable,
-/// never part of any nursery) and check the nursery run is completely
-/// unperturbed — while the semi-distributed model, which prices its
-/// "local" pause off global heap size, visibly slows down.
+/// A capability's minor-GC pause must depend only on its *own*
+/// survivors, never on how big the rest of the heap happens to be. We
+/// pin a ballast structure in the old generation (reachable, never
+/// part of any nursery) and check the nursery run is completely
+/// unperturbed.
 #[test]
 fn minor_pause_independent_of_other_heap_usage() {
     fn run_ballast(model: GcModel, ballast_cells: usize) -> crate::runtime::RunOutcome {
@@ -566,24 +563,17 @@ fn minor_pause_independent_of_other_heap_usage() {
         small.elapsed, big.elapsed,
         "whole schedule must be unperturbed by old-gen ballast"
     );
-    // Contrast: the semi-distributed cost fiction charges local pauses
-    // off the global heap, so the same ballast slows it down.
-    let semi_small = run_ballast(GcModel::SemiDistributed { global_every: 8 }, 10);
-    let semi_big = run_ballast(GcModel::SemiDistributed { global_every: 8 }, 10_000);
-    assert_ne!(
-        semi_small.stats.minor_gc_time, semi_big.stats.minor_gc_time,
-        "semi-distributed pauses are (wrongly) coupled to global heap size"
-    );
 }
 
-/// Regression for the heap-growth bug: the semi-distributed model's
-/// local collections reclaim nothing, so a churn-heavy program's cell
-/// count climbs until a *global* collection. Real nurseries reclaim
-/// dead cells at every minor collection, keeping the live cell count
-/// bounded between major GCs.
+/// Without a collection a churn-heavy program's cell count only
+/// climbs. Nurseries reclaim dead cells at every minor collection,
+/// keeping the live cell count bounded between major GCs.
 #[test]
 fn minor_collections_bound_the_heap() {
-    fn churn_run(model: GcModel) -> (i64, crate::runtime::RunOutcome, rph_heap::HeapStats) {
+    fn churn_run(
+        model: GcModel,
+        alloc_area_words: u64,
+    ) -> (i64, crate::runtime::RunOutcome, rph_heap::HeapStats) {
         let mut b = ProgramBuilder::new();
         let pre = prelude::install(&mut b);
         // Each task allocates 200 short-lived cells that die as soon
@@ -618,8 +608,7 @@ fn minor_collections_bound_the_heap() {
         let mut c = GphConfig::ghc69_plain(2)
             .with_work_stealing()
             .without_trace();
-        // Small nursery so minor collections are frequent.
-        c.alloc_area_words = 8_192;
+        c.alloc_area_words = alloc_area_words;
         c.gc_model = model;
         let mut rt = GphRuntime::new(program, c);
         let out = rt
@@ -632,11 +621,10 @@ fn minor_collections_bound_the_heap() {
         let hs = rt.heap().stats();
         (v, out, hs)
     }
-    let (v_n, nursery, hs_n) = churn_run(GcModel::PerCapNurseries);
-    // global_every so large the fiction never reclaims anything.
-    let (v_s, semi, hs_s) = churn_run(GcModel::SemiDistributed {
-        global_every: 1_000_000,
-    });
+    // Small nursery so minor collections are frequent.
+    let (v_n, nursery, hs_n) = churn_run(GcModel::PerCapNurseries, 8_192);
+    // The reference never collects: its allocation area outlasts the run.
+    let (v_s, never, hs_s) = churn_run(GcModel::StopTheWorld, 1 << 30);
     assert_eq!(v_n, expected(48));
     assert_eq!(v_s, expected(48));
     assert!(nursery.stats.local_gcs > 0);
@@ -644,10 +632,7 @@ fn minor_collections_bound_the_heap() {
         nursery.stats.collected_words > 0,
         "minor collections must actually reclaim nursery garbage"
     );
-    assert_eq!(
-        semi.stats.gcs, 0,
-        "fiction configured to never globally collect"
-    );
+    assert_eq!(never.stats.gcs, 0, "reference must never collect");
     assert!(
         hs_n.peak_live_cells * 2 < hs_s.peak_live_cells,
         "nursery heap must stay bounded: peak {} cells vs unreclaimed {}",

@@ -61,8 +61,8 @@ pub struct GphStats {
     /// Runnable threads stolen by idle capabilities (the §IV.A.2
     /// future-work extension; 0 unless `thread_stealing` is on).
     pub threads_stolen: u64,
-    /// Independent local nursery collections (semi-distributed and
-    /// per-capability-nursery models).
+    /// Independent local nursery collections (per-capability-nursery
+    /// model).
     pub local_gcs: u64,
     /// Virtual time spent in independent minor collections (one
     /// capability each — never a world stop, so not part of

@@ -35,8 +35,9 @@
 //!
 //! Latency accounting is first-class: every resolved job reports its
 //! queue wait, its batch's service time and its end-to-end latency,
-//! and [`LatencyHistogram`] folds those into p50/p99/p999 for the
-//! `bench_server_json` binary. On a single-core host the speedup
+//! and [`LatencyHistogram`] folds those into p50/p99/p999 (the repo
+//! benchmark's `server_open` workload measures them under open-loop
+//! load). On a single-core host the speedup
 //! numbers elsewhere in this repository are vacuous, but these
 //! latency distributions remain meaningful — queueing delay, batching
 //! and admission behaviour do not need spare cores to show up.

@@ -1,14 +1,11 @@
 //! # The workload registry — one list, every harness
 //!
-//! Before this module each native harness (`bench_native_json`,
-//! `fig3_native_speedup`, `trace_native`, the integration suites)
-//! carried its own hard-coded `[(&dyn NativeWorkload, String); 4]`
-//! table, and adding a fifth workload meant finding every copy. The
-//! registry is the single source of truth: [`registry`] returns the
-//! full boxed set at one of three [`Scale`]s, and each workload
-//! carries its own [`NativeWorkload::name`] and
-//! [`NativeWorkload::default_params`] so the harnesses need no
-//! side-band strings.
+//! No native harness (`fig3_native_speedup`, `trace_native`, the repo
+//! benchmark, the integration suites) carries a workload table of its
+//! own: [`registry`] returns the full boxed set at one of three
+//! [`Scale`]s, and each workload carries its own
+//! [`NativeWorkload::name`] and [`NativeWorkload::default_params`] so
+//! the harnesses need no side-band strings.
 //!
 //! Scales:
 //!
