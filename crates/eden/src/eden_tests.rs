@@ -504,3 +504,99 @@ fn inter_node_streams_preserve_send_order() {
     };
     assert_eq!(read_int_list(heap, *first).len(), 2_000);
 }
+
+/// FNV-1a digest of everything a run produced: result, makespan,
+/// counters and the merged trace.
+fn run_digest(rt: &EdenRuntime, out: &crate::runtime::RunOutcome) -> u64 {
+    let v = rt.heap(0).expect_value(out.result).expect_int();
+    format!(
+        "{v} {} {:?} {:?}",
+        out.elapsed,
+        out.stats,
+        out.tracer.merged()
+    )
+    .bytes()
+    .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden digests, recorded on the commit before `run_current_slice`
+/// ran the installed thread in place (the GpH suite's
+/// `golden_digests_*`, for this runtime). Both runs put several
+/// threads on a PE and allocate enough to cross checkpoints and local
+/// collections, so every arm of the slice epilogue is taken: stay
+/// installed, rotate behind a non-empty run queue, block, finish.
+#[test]
+fn golden_digests_pin_slice_scheduling() {
+    const N: i64 = 4;
+    let mut b = ProgramBuilder::new();
+    let pre = prelude::install(&mut b);
+    let support = install_support(&mut b);
+    let churn = b.kernel("churn", 1, |heap, args| {
+        let x = heap.expect_value(args[0]).expect_int();
+        KernelOut {
+            result: heap.alloc_value(Value::Int(x * x)),
+            cost: 300_000,
+            transient_words: 60_000,
+        }
+    });
+    // ringNode input ringIn =
+    //   ( sum (map churn (input : take (N-1) ringIn))
+    //   , input : take (N-2) ringIn )
+    // frame: [input, ringIn]
+    let ring_node = b.def(
+        "ringNode",
+        2,
+        let_(
+            vec![
+                thunk(pre.take, vec![int(N - 2), v(1)]), // [2] fwd
+                LetRhs::Cons(v(0), v(2)),                // [3] ringOut
+                thunk(pre.take, vec![int(N - 1), v(1)]), // [4] recv
+                LetRhs::Cons(v(0), v(4)),                // [5] all inputs
+                pap(churn, vec![]),                      // [6]
+                thunk(pre.map, vec![v(6), v(5)]),        // [7]
+                thunk(pre.sum, vec![v(7)]),              // [8] output
+                LetRhs::Tuple(vec![v(8), v(3)]),         // [9]
+            ],
+            atom(v(9)),
+        ),
+    );
+    let sum_list = b.def("sumList", 1, app(pre.sum, vec![v(0)]));
+    let program = b.build();
+    let mut mismatches = Vec::new();
+    let mut check = |name: &str, rt: &EdenRuntime, out: crate::runtime::RunOutcome, want: u64| {
+        let got = run_digest(rt, &out);
+        if got != want {
+            mismatches.push(format!("{name}: {got:#018x}, recorded {want:#018x}"));
+        }
+        out.stats
+    };
+
+    let mut rt = EdenRuntime::new(program.clone(), support, EdenConfig::new(4));
+    let inputs = ints(&mut rt, &[10, 20, 30, 40]);
+    let outs = skeletons::ring(&mut rt, ring_node, &inputs);
+    let list = list_of(rt.heap_mut(0), &outs);
+    let entry = rt.heap_mut(0).alloc_thunk(pre.sum, vec![list]);
+    let out = rt.run(entry).unwrap();
+    assert_eq!(
+        rt.heap(0).expect_value(out.result).expect_int(),
+        4 * (100 + 400 + 900 + 1600)
+    );
+    let ring = check("ring of 4 PEs", &rt, out, 0x6681_8532_7b42_d07f);
+    assert!(ring.local_gcs > 0 && ring.blackhole_blocks > 0, "{ring:?}");
+
+    let mut rt = EdenRuntime::new(program, support, EdenConfig::oversubscribed(5, 4));
+    let work: Vec<i64> = (1..=12).collect();
+    let inputs = ints(&mut rt, &work);
+    let entry = skeletons::par_map_fold(&mut rt, churn, sum_list, &inputs);
+    let out = rt.run(entry).unwrap();
+    assert_eq!(
+        rt.heap(0).expect_value(out.result).expect_int(),
+        work.iter().map(|x| x * x).sum::<i64>()
+    );
+    let over = check("5 PEs on 4 cores", &rt, out, 0x4ff1_d9c6_ca28_8a84);
+    assert!(over.local_gcs > 0, "{over:?}");
+
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}

@@ -800,9 +800,13 @@ impl std::fmt::Write for Fnv1a {
 /// Digest of everything a run produced: result, makespan, counters and
 /// the merged trace.
 fn run_digest(config: GphConfig, n: i64, cost: u64, alloc: u64) -> u64 {
-    use std::fmt::Write;
     let (v, out) = run_with(config, n, cost, alloc);
     assert_eq!(v, expected(n));
+    digest(v, &out)
+}
+
+fn digest(v: i64, out: &crate::runtime::RunOutcome) -> u64 {
+    use std::fmt::Write;
     let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
     write!(
         h,
@@ -870,5 +874,168 @@ fn golden_digests_pin_the_pick_order() {
             (got != want).then(|| format!("{name}: {got:#018x}, recorded {want:#018x}"))
         })
         .collect();
+    assert!(mismatches.is_empty(), "{mismatches:#?}");
+}
+
+/// A grid of row-step thunks shaped like GpH APSP: step `(i, k)` is
+/// `relax (i, k-1) (k, k-1) k`, so every row of step `k` shares the
+/// pivot thunk `(k, k-1)`; one spark per final row. Returns the sum of
+/// the final rows and the run.
+fn pivot_grid(config: GphConfig, n: usize) -> (i64, crate::runtime::RunOutcome) {
+    let relax_fn = |a: i64, p: i64, k: i64| a.min(p + k);
+    let mut b = ProgramBuilder::new();
+    let pre = prelude::install(&mut b);
+    let relax = b.kernel("relax", 3, move |heap, args| {
+        let [a, p, k] = [0, 1, 2].map(|i| heap.expect_value(args[i]).expect_int());
+        KernelOut {
+            result: heap.alloc_value(Value::Int(relax_fn(a, p, k))),
+            cost: 60_000,
+            transient_words: 400,
+        }
+    });
+    let main = b.def(
+        "main",
+        1,
+        seq(app(pre.spark_list, vec![v(0)]), app(pre.sum, vec![v(0)])),
+    );
+    let start = |i: usize| ((i * 37) % 101) as i64;
+    let mut rt = GphRuntime::new(b.build(), config);
+    let out = rt
+        .run(|heap| {
+            let mut step: Vec<NodeRef> = (0..n).map(|i| heap.int(start(i))).collect();
+            for k in 1..=n {
+                let kn = heap.int(k as i64);
+                let pivot = step[k - 1];
+                for (i, slot) in step.iter_mut().enumerate() {
+                    if i != k - 1 {
+                        *slot = heap.alloc_thunk(relax, vec![*slot, pivot, kn]);
+                    }
+                }
+            }
+            let finals = step
+                .iter()
+                .rev()
+                .fold(heap.alloc_value(Value::Nil), |tail, &r| {
+                    heap.alloc_value(Value::Cons(r, tail))
+                });
+            heap.alloc_thunk(main, vec![finals])
+        })
+        .expect("run failed");
+    let mut rows: Vec<i64> = (0..n).map(start).collect();
+    for k in 1..=n {
+        let pivot = rows[k - 1];
+        for (i, r) in rows.iter_mut().enumerate() {
+            if i != k - 1 {
+                *r = relax_fn(*r, pivot, k as i64);
+            }
+        }
+    }
+    let v = rt.heap().expect_value(out.result).expect_int();
+    assert_eq!(v, rows.iter().sum::<i64>());
+    (v, out)
+}
+
+/// Every task forces one shared 2 ms thunk before its own 1 ms of
+/// work, under eager black-holing: all of them block on it, and its
+/// update wakes the whole batch onto the updater's run queue at once —
+/// the case in which `balance_threads` has surplus threads to place.
+fn woken_batch(config: GphConfig, tasks: i64) -> (i64, crate::runtime::RunOutcome) {
+    let mut b = ProgramBuilder::new();
+    let pre = prelude::install(&mut b);
+    let kernel = |b: &mut ProgramBuilder, name: &str, add: i64, cost: u64| {
+        b.kernel(name, 1, move |heap, args| {
+            let x = heap.expect_value(args[0]).expect_int();
+            KernelOut {
+                result: heap.alloc_value(Value::Int(x + add)),
+                cost,
+                transient_words: 100,
+            }
+        })
+    };
+    let heavy = kernel(&mut b, "heavy", 100, 2_000_000);
+    let own = kernel(&mut b, "own", 0, 1_000_000);
+    // task s i = s + own i
+    let task = b.def(
+        "task",
+        2,
+        let_(
+            vec![thunk(own, vec![v(1)])],
+            prim(rph_machine::PrimOp::Add, vec![v(0), v(2)]),
+        ),
+    );
+    let main = b.def(
+        "main",
+        1,
+        let_(
+            vec![
+                thunk(heavy, vec![int(1)]),
+                pap(task, vec![v(1)]),
+                thunk(pre.enum_from_to, vec![int(1), v(0)]),
+                thunk(pre.map, vec![v(2), v(3)]),
+                thunk(pre.spark_list, vec![v(4)]),
+            ],
+            seq(atom(v(5)), app(pre.sum, vec![v(4)])),
+        ),
+    );
+    let mut rt = GphRuntime::new(b.build(), config);
+    let out = rt
+        .run(|heap| {
+            let k = heap.int(tasks);
+            heap.alloc_thunk(main, vec![k])
+        })
+        .expect("run failed");
+    let v = rt.heap().expect_value(out.result).expect_int();
+    assert_eq!(v, (1..=tasks).map(|i| 101 + i).sum::<i64>());
+    (v, out)
+}
+
+/// Golden digests, recorded on the commit before slices ran the
+/// installed thread in place and thunk arguments moved inline: the
+/// paths the four digests above do not reach. Shared pivots under lazy
+/// black-holing (duplicate evaluation: the same thunk claimed, its
+/// arguments read and its kernel called more than once), the same grid
+/// under eager black-holing (threads block and are woken), and a
+/// thread-per-spark push run in which an update wakes a batch of
+/// threads, so `balance_threads` runs right after a slice with more
+/// than one thread queued — where it must keep exactly one.
+#[test]
+fn golden_digests_pin_duplicates_blocks_and_thread_balancing() {
+    let full = GphConfig::fig1_ladder(8)[3].1.clone();
+    let mut mismatches = Vec::new();
+    let mut check = |name: &str, (v, out): (i64, crate::runtime::RunOutcome), want: u64| {
+        let got = digest(v, &out);
+        if got != want {
+            mismatches.push(format!("{name}: {got:#018x}, recorded {want:#018x}"));
+        }
+        out.stats
+    };
+
+    let lazy = check(
+        "8 caps, pivot grid, lazy black-holing",
+        pivot_grid(full.clone(), 40),
+        0x1c5a_6ec7_057c_f637,
+    );
+    assert!(lazy.duplicate_evals > 0, "{lazy:?}");
+    let eager = check(
+        "8 caps, pivot grid, eager black-holing",
+        pivot_grid(full.with_eager_blackholing(), 40),
+        0x6cf3_bdfd_81e6_b75d,
+    );
+    assert_eq!(eager.duplicate_evals, 0);
+    assert!(eager.blackhole_blocks > 0, "{eager:?}");
+
+    let mut push = GphConfig::ghc69_plain(8)
+        .with_big_alloc_area()
+        .with_eager_blackholing();
+    assert_eq!(push.spark_policy, SparkPolicy::Push);
+    push.spark_exec = SparkExec::ThreadPerSpark;
+    let pushed = check(
+        "8 caps, push, woken batch",
+        woken_batch(push, 24),
+        0x71b6_5d03_9445_1a49,
+    );
+    assert!(pushed.blackhole_blocks > 1, "{pushed:?}");
+    assert!(pushed.threads_migrated > 0, "{pushed:?}");
+
     assert!(mismatches.is_empty(), "{mismatches:#?}");
 }
