@@ -337,14 +337,16 @@ impl EdenRuntime {
         Ok(result)
     }
 
-    /// Run the installed thread for one simulator slice.
+    /// Run the installed thread for one simulator slice, in place: it
+    /// leaves `current` only when it blocks, finishes, or is rotated
+    /// behind other runnable threads.
     fn run_current_slice(
         &mut self,
         idx: usize,
         main_tid: ThreadId,
     ) -> Result<Option<NodeRef>, String> {
         let pe = &mut self.pes[idx];
-        let mut tso = pe.current.take().expect("caller installed");
+        let tso = pe.current.as_mut().expect("caller installed");
         let mut ctx = RunCtx::new(
             &self.program,
             &mut pe.heap,
@@ -366,23 +368,22 @@ impl EdenRuntime {
             }
         }
         match slice.stop {
-            StopReason::FuelExhausted | StopReason::Sparked => {
-                // `par` is a no-op hint under Eden (no spark pools).
-                self.pes[idx].current = Some(tso);
-            }
+            // `par` is a no-op hint under Eden (no spark pools).
+            StopReason::FuelExhausted | StopReason::Sparked => {}
             StopReason::Checkpoint => {
                 // Time-slice rotation (GHC -C): sender threads must
                 // interleave for stream pipelining to work.
-                let expired = self.pes[idx].clock - tso.started >= self.config.time_slice;
-                if expired && !self.pes[idx].run_q.is_empty() {
-                    self.pes[idx].clock += self.config.costs.ctx_switch;
-                    self.pes[idx].run_q.push_back(tso);
-                } else {
-                    self.pes[idx].current = Some(tso);
+                let pe = &mut self.pes[idx];
+                let started = pe.current.as_ref().expect("ran above").started;
+                if pe.clock - started >= self.config.time_slice && !pe.run_q.is_empty() {
+                    pe.clock += self.config.costs.ctx_switch;
+                    let tso = pe.current.take().expect("ran above");
+                    pe.run_q.push_back(tso);
                 }
                 self.maybe_local_gc(idx);
             }
             StopReason::Blocked(node) => {
+                let tso = self.pes[idx].current.take().expect("ran above");
                 let tid = tso.machine.tid();
                 self.stats.blackhole_blocks += 1;
                 let now = self.pes[idx].clock;
@@ -396,6 +397,7 @@ impl EdenRuntime {
                 self.pes[idx].clock += self.config.costs.ctx_switch;
             }
             StopReason::Finished(r) => {
+                let tso = self.pes[idx].current.take().expect("ran above");
                 return self.job_finished(idx, tso, r, main_tid);
             }
             StopReason::Error(e) => return Err(e),

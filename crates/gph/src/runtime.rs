@@ -266,8 +266,13 @@ impl GphRuntime {
         if self.heap.nurseries_enabled() {
             self.heap.set_alloc_region(Some(idx as RegionId));
         }
+        // The thread runs where it is installed: a slice that ends at
+        // a bound of the simulator's own (fuel, a fresh spark) or at a
+        // checkpoint leaves it there, and only the arms below that
+        // really move it (blocked, finished, rotated out at a
+        // checkpoint) take it out.
         let cap = &mut self.caps[idx];
-        let mut tso = cap.current.take().expect("ensured above");
+        let tso = cap.current.as_mut().expect("ensured above");
         let mut ctx = RunCtx::new(
             &self.program,
             &mut self.heap,
@@ -315,21 +320,20 @@ impl GphRuntime {
         }
         // Updates may have woken a batch of threads onto this
         // capability; both GHC runtimes push surplus threads to idle
-        // capabilities actively (§IV.A.2).
-        self.balance_threads(idx);
+        // capabilities actively (§IV.A.2). One woken thread stays: the
+        // slice may just have ended the installed thread (blocked or
+        // finished — not yet acted on here), and then the capability
+        // needs a successor at hand.
+        self.balance_threads(idx, 1);
 
         match slice.stop {
-            StopReason::FuelExhausted | StopReason::Sparked => {
-                // Not a scheduling point; keep the thread installed.
-                // (`Sparked` just flushed fresh sparks to the pool so
-                // thieves can see them promptly.)
-                self.caps[idx].current = Some(tso);
-            }
-            StopReason::Checkpoint => {
-                self.caps[idx].current = Some(tso);
-                self.scheduler_checkpoint(idx);
-            }
+            // Not a scheduling point; the thread stays installed.
+            // (`Sparked` just flushed fresh sparks to the pool so
+            // thieves can see them promptly.)
+            StopReason::FuelExhausted | StopReason::Sparked => {}
+            StopReason::Checkpoint => self.scheduler_checkpoint(idx),
             StopReason::Blocked(node) => {
+                let tso = self.caps[idx].current.take().expect("ran above");
                 let tid = tso.machine.tid();
                 self.stats.blackhole_blocks += 1;
                 self.tracer.record(
@@ -351,6 +355,7 @@ impl GphRuntime {
                 }
             }
             StopReason::Finished(result) => {
+                let mut tso = self.caps[idx].current.take().expect("ran above");
                 let tid = tso.machine.tid();
                 self.tracer.record(
                     self.caps[idx].id,
@@ -666,8 +671,10 @@ impl GphRuntime {
             }
         }
         // 4. Surplus threads are pushed to idle capabilities under
-        // both policies.
-        self.balance_threads(idx);
+        // both policies; a capability whose thread was just rotated out
+        // keeps one to install next.
+        let keep = usize::from(self.caps[idx].current.is_none());
+        self.balance_threads(idx, keep);
         // 5. Push-model work distribution: GHC 6.8's `schedulePushWork`
         // runs whenever the scheduler does — i.e. at the pushing
         // capability's scheduling points, not when the *idle* side
@@ -679,11 +686,9 @@ impl GphRuntime {
 
     /// Push surplus runnable threads to idle capabilities (both
     /// runtimes do this actively; only *spark* distribution differs
-    /// between the push and steal policies).
-    fn balance_threads(&mut self, idx: usize) {
-        // Keep one runnable thread for ourselves when nothing is
-        // installed; everything beyond that is surplus.
-        let keep = usize::from(self.caps[idx].current.is_none());
+    /// between the push and steal policies). The first `keep` queued
+    /// threads are not surplus.
+    fn balance_threads(&mut self, idx: usize, keep: usize) {
         for j in 0..self.caps.len() {
             if j == idx || self.caps[idx].run_q.len() <= keep {
                 if self.caps[idx].run_q.len() <= keep {

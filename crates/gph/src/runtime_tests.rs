@@ -378,50 +378,6 @@ fn semi_distributed_heap_reduces_global_collections() {
 fn thread_stealing_pulls_queued_threads() {
     // Shared thunk: all tasks block on it; the waker accumulates the
     // woken threads. With thread stealing, idle capabilities pull them.
-    let mut b = ProgramBuilder::new();
-    let pre = prelude::install(&mut b);
-    let heavy = b.kernel("heavy", 1, |heap, args| {
-        let x = heap.expect_value(args[0]).expect_int();
-        KernelOut {
-            result: heap.alloc_value(Value::Int(x + 100)),
-            cost: 2_000_000,
-            transient_words: 100,
-        }
-    });
-    let own = b.kernel("own", 1, |heap, args| {
-        let x = heap.expect_value(args[0]).expect_int();
-        KernelOut {
-            result: heap.alloc_value(Value::Int(x)),
-            cost: 1_000_000,
-            transient_words: 100,
-        }
-    });
-    // task s i = s + own i  (forces the shared thunk FIRST, so every
-    // task blocks until it resolves; the post-wake work is the part
-    // thread stealing can spread).
-    let task = b.def(
-        "task",
-        2,
-        let_(
-            vec![thunk(own, vec![v(1)])],
-            prim(rph_machine::PrimOp::Add, vec![v(0), v(2)]),
-        ),
-    );
-    let main = b.def(
-        "main",
-        1,
-        let_(
-            vec![
-                thunk(heavy, vec![int(1)]),
-                pap(task, vec![v(1)]),
-                thunk(pre.enum_from_to, vec![int(1), v(0)]),
-                thunk(pre.map, vec![v(2), v(3)]),
-                thunk(pre.spark_list, vec![v(4)]),
-            ],
-            seq(atom(v(5)), app(pre.sum, vec![v(4)])),
-        ),
-    );
-    let program = b.build();
     let run = |steal_threads: bool| {
         let mut c = GphConfig::ghc69_plain(8)
             .with_big_alloc_area()
@@ -431,16 +387,7 @@ fn thread_stealing_pulls_queued_threads() {
         if steal_threads {
             c = c.with_thread_stealing();
         }
-        let mut rt = GphRuntime::new(program.clone(), c);
-        let out = rt
-            .run(|heap| {
-                let k = heap.int(24);
-                heap.alloc_thunk(main, vec![k])
-            })
-            .unwrap();
-        let v = rt.heap().expect_value(out.result).expect_int();
-        assert_eq!(v, (1..=24).map(|i| 101 + i).sum::<i64>());
-        out
+        woken_batch(c, 24).1
     };
     let without = run(false);
     let with = run(true);
@@ -936,9 +883,10 @@ fn pivot_grid(config: GphConfig, n: usize) -> (i64, crate::runtime::RunOutcome) 
 }
 
 /// Every task forces one shared 2 ms thunk before its own 1 ms of
-/// work, under eager black-holing: all of them block on it, and its
-/// update wakes the whole batch onto the updater's run queue at once —
-/// the case in which `balance_threads` has surplus threads to place.
+/// work (so the post-wake work is what can be spread). Under eager
+/// black-holing all of them block on it, and its update wakes the
+/// whole batch onto the updater's run queue at once — the case in
+/// which `balance_threads` has surplus threads to place.
 fn woken_batch(config: GphConfig, tasks: i64) -> (i64, crate::runtime::RunOutcome) {
     let mut b = ProgramBuilder::new();
     let pre = prelude::install(&mut b);

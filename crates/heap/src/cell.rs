@@ -1,5 +1,6 @@
 //! Heap cells: the closure state machine.
 
+use crate::args::Args;
 use crate::noderef::{NodeRef, ScId};
 use crate::value::Value;
 use rph_trace::ThreadId;
@@ -20,7 +21,7 @@ use rph_trace::ThreadId;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Cell {
     /// A suspended saturated application of supercombinator `sc`.
-    Thunk { sc: ScId, args: Box<[NodeRef]> },
+    Thunk { sc: ScId, args: Args },
     /// Under evaluation. `blocked` holds the threads suspended on this
     /// node, woken (in FIFO order) by the update.
     BlackHole { blocked: Vec<ThreadId> },
@@ -31,6 +32,10 @@ pub enum Cell {
     /// A freed slot (member of the free list). Never reachable.
     Free,
 }
+
+// The arena is a `Vec<Cell>`: a bigger cell is a bigger simulated heap
+// on the host, on every run.
+const _: () = assert!(std::mem::size_of::<Cell>() == 32);
 
 impl Cell {
     /// Heap size in words of this cell as allocated.
@@ -86,6 +91,18 @@ mod tests {
         .push_children(&mut buf);
         assert_eq!(buf, vec![NodeRef(5)]);
         buf.clear();
+        // Argument order survives both the inline and the spilled form.
+        for n in [crate::Args::INLINE, crate::Args::INLINE + 1] {
+            let args: Vec<NodeRef> = (0..n as u32).map(|i| NodeRef(10 - i)).collect();
+            let t = Cell::Thunk {
+                sc: ScId(0),
+                args: args.clone().into(),
+            };
+            assert_eq!(t.words(), 2 + n as u64);
+            t.push_children(&mut buf);
+            assert_eq!(buf, args);
+            buf.clear();
+        }
         Cell::Ind(NodeRef(9)).push_children(&mut buf);
         assert_eq!(buf, vec![NodeRef(9)]);
         buf.clear();

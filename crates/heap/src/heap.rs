@@ -8,6 +8,7 @@
 //! independent per-capability minor collections (see
 //! [`crate::gc::Collector::collect_minor`]).
 
+use crate::args::Args;
 use crate::cell::Cell;
 use crate::noderef::{NodeRef, ScId};
 use crate::value::Value;
@@ -76,7 +77,7 @@ pub enum Claim {
     /// Under eager black-holing the cell is already a `BlackHole`;
     /// under lazy black-holing it is still a `Thunk` (and another
     /// thread may claim it too — duplicate evaluation).
-    Run { sc: ScId, args: Box<[NodeRef]> },
+    Run { sc: ScId, args: Args },
     /// The cell is already a value; no evaluation needed.
     Whnf,
     /// The cell is a black hole: someone else is evaluating it. The
@@ -229,7 +230,7 @@ impl Heap {
     }
 
     /// Allocate a thunk node: the suspended application `sc args`.
-    pub fn alloc_thunk(&mut self, sc: ScId, args: impl Into<Box<[NodeRef]>>) -> NodeRef {
+    pub fn alloc_thunk(&mut self, sc: ScId, args: impl Into<Args>) -> NodeRef {
         self.alloc(Cell::Thunk {
             sc,
             args: args.into(),

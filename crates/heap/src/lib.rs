@@ -32,6 +32,7 @@
 //! *frequency*, which is exactly what the charge models.
 
 pub mod area;
+pub mod args;
 pub mod cell;
 pub mod copy;
 pub mod gc;
@@ -40,6 +41,7 @@ pub mod noderef;
 pub mod value;
 
 pub use area::AllocArea;
+pub use args::Args;
 pub use cell::Cell;
 pub use copy::copy_subgraph;
 pub use gc::{GcResult, GcStats, MinorGcResult, ParMarkCosts, ParMarkReport};

@@ -20,7 +20,7 @@ use crate::primop::{apply_prim, PrimError, PrimOp};
 use crate::program::{Program, ScBody};
 use rph_heap::area::AllocOutcome;
 use rph_heap::heap::Claim;
-use rph_heap::{AllocArea, Cell, Heap, NodeRef, ScId, Value};
+use rph_heap::{AllocArea, Args, Cell, Heap, NodeRef, ScId, Value};
 use rph_trace::ThreadId;
 
 /// Shared evaluation context for one slice: program, heap, allocation
@@ -138,7 +138,7 @@ enum Code {
 /// Cost paid per kernel piece (≈ 8 µs of inner loop between bookkeeping
 /// points; allocation is spread proportionally, so a typical kernel
 /// crosses an allocation checkpoint every few pieces).
-const KERNEL_PIECE: u64 = 8_192;
+pub(crate) const KERNEL_PIECE: u64 = 8_192;
 
 /// Continuations.
 #[derive(Debug, Clone)]
@@ -158,11 +158,7 @@ enum Kont {
         next: usize,
     },
     /// Force kernel arguments one by one, then invoke the kernel.
-    KernelK {
-        sc: ScId,
-        nodes: Vec<NodeRef>,
-        next: usize,
-    },
+    KernelK { sc: ScId, nodes: Args, next: usize },
     /// Force a function value, then apply it to the argument nodes.
     ApplyK { args: Vec<NodeRef> },
     /// Deep (normal-form) forcing: nodes still to visit, and the root
@@ -255,9 +251,8 @@ impl Machine {
             match k {
                 Kont::Case { env, .. } | Kont::Seq { env, .. } => out.extend_from_slice(env),
                 Kont::Update { node, .. } => out.push(*node),
-                Kont::PrimK { nodes, .. } | Kont::KernelK { nodes, .. } => {
-                    out.extend_from_slice(nodes)
-                }
+                Kont::PrimK { nodes, .. } => out.extend_from_slice(nodes),
+                Kont::KernelK { nodes, .. } => out.extend_from_slice(nodes),
                 Kont::ApplyK { args } => out.extend_from_slice(args),
                 Kont::DeepK { root, pending } => {
                     out.push(*root);
@@ -363,13 +358,7 @@ impl Machine {
                 alloc_left,
             } => {
                 let piece = cost_left.min(KERNEL_PIECE);
-                let alloc_piece = if cost_left > piece {
-                    // Proportional allocation, rounding the remainder
-                    // into the final piece.
-                    (alloc_left as u128 * piece as u128 / cost_left as u128) as u64
-                } else {
-                    alloc_left
-                };
+                let alloc_piece = kernel_alloc_piece(alloc_left, piece, cost_left);
                 if ctx.area.charge(alloc_piece) == AllocOutcome::Checkpoint {
                     ctx.checkpoint = true;
                 }
@@ -395,7 +384,7 @@ impl Machine {
                 Ok(Step::cont(C_STEP))
             }
             Expr::App { sc, args } => {
-                let nodes = self.atoms(args, &env, ctx)?;
+                let nodes: Env = self.atoms(args, &env, ctx)?;
                 self.call_sc(*sc, nodes, ctx)
             }
             Expr::AppVar { f, args } => {
@@ -406,7 +395,7 @@ impl Machine {
                 Ok(Step::cont(C_STEP))
             }
             Expr::Prim { op, args } => {
-                let nodes = self.atoms(args, &env, ctx)?;
+                let nodes: Vec<NodeRef> = self.atoms(args, &env, ctx)?;
                 if nodes.len() != op.arity() {
                     return Err(format!("{op:?} applied to {} args", nodes.len()));
                 }
@@ -484,27 +473,19 @@ impl Machine {
                     node: r,
                     start_cost: self.cost_total,
                 });
-                self.call_sc_claimed(sc, args.into_vec(), ctx)
+                self.call_sc(sc, args, ctx)
             }
         }
     }
 
-    /// Tail-call `sc` with evaluated-or-thunk argument nodes.
-    fn call_sc(
-        &mut self,
-        sc: ScId,
-        nodes: Vec<NodeRef>,
-        ctx: &mut RunCtx<'_>,
-    ) -> Result<Step, String> {
-        self.call_sc_claimed(sc, nodes, ctx)
-    }
-
-    fn call_sc_claimed(
-        &mut self,
-        sc: ScId,
-        nodes: Vec<NodeRef>,
-        ctx: &mut RunCtx<'_>,
-    ) -> Result<Step, String> {
+    /// Tail-call `sc` with evaluated-or-thunk argument nodes: an
+    /// [`Args`] straight from an entered thunk, or a `Vec` built by an
+    /// application. An IR body takes them as its environment (a `Vec`),
+    /// a kernel keeps them as they came out of the thunk.
+    fn call_sc<A>(&mut self, sc: ScId, nodes: A, ctx: &mut RunCtx<'_>) -> Result<Step, String>
+    where
+        A: std::ops::Deref<Target = [NodeRef]> + Into<Env> + Into<Args>,
+    {
         let scdef = ctx.program.sc(sc);
         if nodes.len() != scdef.arity {
             return Err(format!(
@@ -516,7 +497,7 @@ impl Machine {
         }
         match &scdef.body {
             ScBody::Expr(body) => {
-                self.code = Code::Eval(body.clone(), nodes);
+                self.code = Code::Eval(body.clone(), nodes.into());
                 Ok(Step::cont(C_CLAIM))
             }
             ScBody::Kernel(_) => {
@@ -524,7 +505,11 @@ impl Machine {
                     return self.run_kernel(sc, &[], ctx);
                 }
                 let first = nodes[0];
-                self.konts.push(Kont::KernelK { sc, nodes, next: 1 });
+                self.konts.push(Kont::KernelK {
+                    sc,
+                    nodes: nodes.into(),
+                    next: 1,
+                });
                 self.code = Code::Enter(first);
                 Ok(Step::cont(C_CLAIM))
             }
@@ -537,12 +522,14 @@ impl Machine {
         nodes: &[NodeRef],
         ctx: &mut RunCtx<'_>,
     ) -> Result<Step, String> {
-        let kernel = match &ctx.program.sc(sc).body {
-            ScBody::Kernel(k) => k.clone(),
-            ScBody::Expr(_) => unreachable!("run_kernel on an IR body"),
+        // The program outlives the slice, so the kernel is borrowed for
+        // the call rather than its `Arc` cloned.
+        let program: &Program = ctx.program;
+        let ScBody::Kernel(kernel) = &program.sc(sc).body else {
+            unreachable!("run_kernel on an IR body")
         };
         // Kernels see fully resolved argument nodes.
-        let resolved: Vec<NodeRef> = nodes.iter().map(|r| ctx.heap.resolve(*r)).collect();
+        let resolved: Args = nodes.iter().map(|r| ctx.heap.resolve(*r)).collect();
         let alloc_before = ctx.heap.stats().allocated_words;
         let out = kernel(ctx.heap, &resolved);
         let real_alloc = ctx.heap.stats().allocated_words - alloc_before;
@@ -767,13 +754,16 @@ impl Machine {
         }
     }
 
-    fn atoms(
+    /// The nodes of `atoms`, collected into whatever holds them next:
+    /// an environment, a thunk's [`Args`] (no `Vec` in between), a
+    /// value's boxed fields.
+    fn atoms<'e, C: FromIterator<NodeRef>>(
         &mut self,
-        atoms: &[Atom],
+        atoms: impl IntoIterator<Item = &'e Atom>,
         env: &Env,
         ctx: &mut RunCtx<'_>,
-    ) -> Result<Vec<NodeRef>, String> {
-        atoms.iter().map(|a| self.atom(a, env, ctx)).collect()
+    ) -> Result<C, String> {
+        atoms.into_iter().map(|a| self.atom(a, env, ctx)).collect()
     }
 
     fn alloc_rhs(
@@ -784,11 +774,8 @@ impl Machine {
     ) -> Result<NodeRef, String> {
         Ok(match rhs {
             LetRhs::Thunk { sc, args } => {
-                let nodes = self.atoms(args, env, ctx)?;
-                ctx.alloc(Cell::Thunk {
-                    sc: *sc,
-                    args: nodes.into(),
-                })
+                let args = self.atoms(args, env, ctx)?;
+                ctx.alloc(Cell::Thunk { sc: *sc, args })
             }
             LetRhs::ThunkApp { f, args } => {
                 // A dynamic-call thunk: suspended `$apply f args`,
@@ -802,15 +789,8 @@ impl Machine {
                             crate::prelude::apply_name(args.len())
                         )
                     })?;
-                let mut nodes = Vec::with_capacity(args.len() + 1);
-                nodes.push(self.atom(f, env, ctx)?);
-                for a in args {
-                    nodes.push(self.atom(a, env, ctx)?);
-                }
-                ctx.alloc(Cell::Thunk {
-                    sc: apply,
-                    args: nodes.into(),
-                })
+                let args = self.atoms(std::iter::once(f).chain(args), env, ctx)?;
+                ctx.alloc(Cell::Thunk { sc: apply, args })
             }
             LetRhs::Cons(h, t) => {
                 let h = self.atom(h, env, ctx)?;
@@ -819,18 +799,31 @@ impl Machine {
             }
             LetRhs::Nil => ctx.alloc(Cell::Value(Value::Nil)),
             LetRhs::Tuple(fields) => {
-                let nodes = self.atoms(fields, env, ctx)?;
-                ctx.alloc(Cell::Value(Value::Tuple(nodes.into())))
+                let fields = self.atoms(fields, env, ctx)?;
+                ctx.alloc(Cell::Value(Value::Tuple(fields)))
             }
             LetRhs::Lit(l) => ctx.alloc(Cell::Value(l.to_value())),
             LetRhs::Pap { sc, args } => {
-                let nodes = self.atoms(args, env, ctx)?;
-                ctx.alloc(Cell::Value(Value::Pap {
-                    sc: *sc,
-                    args: nodes.into(),
-                }))
+                let args = self.atoms(args, env, ctx)?;
+                ctx.alloc(Cell::Value(Value::Pap { sc: *sc, args }))
             }
         })
+    }
+}
+
+/// The share of a kernel's remaining allocation charged with one
+/// `piece` of its remaining cost: `alloc_left * piece / cost_left`,
+/// rounded down, and everything that is left with the final piece. The
+/// product fits `u64` for any real kernel (`piece` is at most
+/// [`KERNEL_PIECE`]), so the 128-bit division — a library call, once
+/// per piece — is only the fallback.
+pub(crate) fn kernel_alloc_piece(alloc_left: u64, piece: u64, cost_left: u64) -> u64 {
+    if cost_left <= piece {
+        return alloc_left;
+    }
+    match alloc_left.checked_mul(piece) {
+        Some(product) => product / cost_left,
+        None => (alloc_left as u128 * piece as u128 / cost_left as u128) as u64,
     }
 }
 

@@ -4,7 +4,9 @@
 //! checkpointing, and GC-root reporting.
 
 use crate::ir::*;
-use crate::machine::{Machine, MachineStatus, RunCtx, StopReason};
+use crate::machine::{
+    kernel_alloc_piece, Machine, MachineStatus, RunCtx, StopReason, KERNEL_PIECE,
+};
 use crate::prelude::{self, Prelude};
 use crate::primop::PrimOp;
 use crate::program::{KernelOut, Program, ProgramBuilder};
@@ -474,4 +476,100 @@ fn program_errors_are_reported_not_panicking() {
     let s = m.run(&mut ctx, 10_000);
     assert!(matches!(s.stop, StopReason::Error(_)), "{:?}", s.stop);
     assert_eq!(m.status(), MachineStatus::Finished);
+}
+
+/// The 64-bit fast path of the kernel pay-off agrees with the 128-bit
+/// form it replaced wherever the product does or does not overflow.
+#[test]
+fn kernel_alloc_piece_equals_the_u128_form() {
+    let wide = |alloc_left: u64, piece: u64, cost_left: u64| {
+        if cost_left > piece {
+            (alloc_left as u128 * piece as u128 / cost_left as u128) as u64
+        } else {
+            alloc_left
+        }
+    };
+    let piece = KERNEL_PIECE;
+    let edge = u64::MAX / piece;
+    for alloc_left in [0, 1, 12_345, edge - 1, edge, edge + 1, u64::MAX] {
+        // Final piece (all that is left), the smallest non-final
+        // remainder, ordinary and huge remainders.
+        for cost_left in [1, piece - 1, piece, piece + 1, 3 * piece + 7, u64::MAX] {
+            let piece = cost_left.min(piece);
+            assert_eq!(
+                kernel_alloc_piece(alloc_left, piece, cost_left),
+                wide(alloc_left, piece, cost_left),
+                "alloc_left={alloc_left} cost_left={cost_left}"
+            );
+        }
+    }
+    // Paid off piece by piece, the shares add up to the whole.
+    let (mut alloc_left, mut cost_left, mut paid) = (1_000_003u64, 10 * piece + 5, 0u64);
+    while cost_left > 0 {
+        let piece = cost_left.min(piece);
+        let share = kernel_alloc_piece(alloc_left, piece, cost_left);
+        paid += share;
+        alloc_left -= share;
+        cost_left -= piece;
+    }
+    assert_eq!((paid, alloc_left), (1_000_003, 0));
+}
+
+/// Kernels whose argument lists sit on either side of the inline
+/// limit, reached by application and by thunk entry, with arguments
+/// that are themselves thunks (so they come back as indirections): the
+/// kernel sees every argument forced, resolved and in order.
+#[test]
+fn kernels_see_forced_arguments_in_order_inline_and_spilled() {
+    for arity in [1usize, 5, 6, 9] {
+        let mut b = ProgramBuilder::new();
+        let pre = prelude::install(&mut b);
+        // digits a b c ... = the arguments read as a base-10 number.
+        let digits = b.kernel("digits", arity, |heap, args| {
+            let n = args.iter().fold(0, |n, a| {
+                assert!(heap.get(*a).is_whnf(), "argument {a} not resolved");
+                n * 10 + heap.expect_value(*a).expect_int()
+            });
+            KernelOut {
+                result: heap.alloc_value(Value::Int(n)),
+                cost: 20_000,
+                transient_words: 3_000,
+            }
+        });
+        // viaApp x = digits (inc x) (inc (inc x)) ...: argument k is a
+        // chain of k `inc` thunks over the frame's x.
+        let mut rhss = Vec::new();
+        let mut arg_slots = Vec::new();
+        for k in 1..=arity {
+            let mut slot = 0;
+            for _ in 0..k {
+                rhss.push(thunk(pre.inc, vec![v(slot)]));
+                slot = rhss.len();
+            }
+            arg_slots.push(v(slot));
+        }
+        let via_app = b.def("viaApp", 1, let_(rhss, app(digits, arg_slots)));
+        let prog = b.build();
+        let want = (1..=arity as i64).fold(0, |n, d| n * 10 + d);
+
+        let mut heap = Heap::new();
+        let zero = heap.int(0);
+        let applied = heap.alloc_thunk(via_app, vec![zero]);
+        let args: Vec<NodeRef> = (1..=arity as i64)
+            .map(|d| {
+                let prev = heap.int(d - 1);
+                heap.alloc_thunk(pre.inc, vec![prev])
+            })
+            .collect();
+        let entered = heap.alloc_thunk(digits, args);
+        for (how, entry) in [("application", applied), ("thunk entry", entered)] {
+            let mut m = Machine::enter(ThreadId(0), entry);
+            let (r, _) = drive(&prog, &mut heap, &mut m);
+            assert_eq!(
+                heap.expect_value(r).expect_int(),
+                want,
+                "{how}, arity {arity}"
+            );
+        }
+    }
 }

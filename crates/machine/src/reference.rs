@@ -44,7 +44,7 @@ pub fn force_whnf(program: &Program, heap: &mut Heap, node: NodeRef) -> Result<N
         Claim::Whnf => Ok(r),
         Claim::Busy => Err(RefError::Loop(r)),
         Claim::Run { sc, args } => {
-            let result = call(program, heap, sc, args.into_vec())?;
+            let result = call(program, heap, sc, args.into())?;
             heap.update(r, result);
             Ok(heap.resolve(result))
         }

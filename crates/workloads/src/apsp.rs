@@ -191,7 +191,7 @@ impl Apsp {
         });
         let rows_sum = b.kernel("rowsSum", 1, |heap, args| {
             let rows = read_rows(heap, args[0]);
-            let total: f64 = rows.iter().flatten().sum();
+            let total: f64 = rows.iter().copied().flatten().sum();
             let cost = rows.iter().map(|r| r.len() as u64).sum();
             KernelOut {
                 result: heap.alloc_value(Value::Int(total as i64)),
@@ -506,13 +506,14 @@ impl Apsp {
     }
 }
 
-fn read_rows(heap: &Heap, mut r: NodeRef) -> Vec<Vec<f64>> {
+/// The rows of a normal-form row list, borrowed from the heap.
+fn read_rows(heap: &Heap, mut r: NodeRef) -> Vec<&[f64]> {
     let mut out = Vec::new();
     loop {
         match heap.expect_value(r) {
             Value::Nil => return out,
             Value::Cons(h, t) => {
-                out.push(heap.expect_value(*h).expect_darray().to_vec());
+                out.push(heap.expect_value(*h).expect_darray());
                 r = *t;
             }
             other => panic!("row list expected, found {other:?}"),

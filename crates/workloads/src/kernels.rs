@@ -402,14 +402,26 @@ pub fn block_mul_acc(acc: &[f64], a: &[f64], b: &[f64], s: usize) -> (Vec<f64>, 
 /// One Floyd–Warshall relaxation of `row_i` by pivot row `row_k`
 /// (pivot index `k`, 0-based): `d[t] = min(d[t], d[k] + row_k[t])`.
 /// Returns the new row and the cost.
+///
+/// The row is collected from an exact-size iterator: a `push` loop
+/// re-checks the capacity per element, which keeps LLVM from
+/// vectorising it, and this is the inner loop of APSP on all four
+/// backends.
 pub fn min_plus_update(row_i: &[f64], row_k: &[f64], k: usize) -> (Vec<f64>, u64) {
     assert_eq!(row_i.len(), row_k.len());
     let dik = row_i[k];
-    let mut out = Vec::with_capacity(row_i.len());
-    for (t, &d) in row_i.iter().enumerate() {
-        let via = dik + row_k[t];
-        out.push(if via < d { via } else { d });
-    }
+    let out = row_i
+        .iter()
+        .zip(row_k)
+        .map(|(&d, &dk)| {
+            let via = dik + dk;
+            if via < d {
+                via
+            } else {
+                d
+            }
+        })
+        .collect();
     (out, row_i.len() as u64 * C_MINPLUS)
 }
 
@@ -602,6 +614,7 @@ pub fn sum_euler_oracle(n: i64) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn phi_small_values() {
@@ -683,6 +696,49 @@ mod tests {
         floyd_warshall(&mut d, 3);
         assert_eq!(&d[0..3], &[0.0, 3.0, 4.0]);
         assert_eq!(&d[6..9], &[4.0, 1.0, 0.0]);
+    }
+
+    /// The `push` loop [`min_plus_update`] replaced, kept as its oracle.
+    fn min_plus_update_push_loop(row_i: &[f64], row_k: &[f64], k: usize) -> Vec<f64> {
+        let dik = row_i[k];
+        let mut out = Vec::with_capacity(row_i.len());
+        for (t, &d) in row_i.iter().enumerate() {
+            let via = dik + row_k[t];
+            out.push(if via < d { via } else { d });
+        }
+        out
+    }
+
+    /// Row cells for the test below: small integers (which repeat, so
+    /// `via == d` ties occur), the "no edge" surrogate, infinity, and
+    /// values whose sums are inexact.
+    fn cell() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            3 => (0u32..6).prop_map(f64::from),
+            1 => Just(crate::apsp::BIG),
+            1 => Just(f64::INFINITY),
+            1 => (0u32..1000).prop_map(|x| f64::from(x) / 7.0),
+        ]
+    }
+
+    proptest! {
+        /// Bit-identical to the loop it replaced, with the pivot column
+        /// at both ends of the row and inside it; lengths straddle the
+        /// vector widths.
+        #[test]
+        fn min_plus_update_is_bit_identical_to_the_push_loop(
+            rows in collection::vec((cell(), cell()), 1..70),
+            pick in 0usize..3,
+            inner in 0usize..70,
+        ) {
+            let (row_i, row_k): (Vec<f64>, Vec<f64>) = rows.into_iter().unzip();
+            let k = [0, row_i.len() - 1, inner % row_i.len()][pick];
+            let (got, cost) = min_plus_update(&row_i, &row_k, k);
+            let want = min_plus_update_push_loop(&row_i, &row_k, k);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got), bits(&want));
+            prop_assert_eq!(cost, row_i.len() as u64 * C_MINPLUS);
+        }
     }
 
     #[test]
