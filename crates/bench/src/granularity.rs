@@ -10,8 +10,7 @@
 //! coarse chunks starve cores. Lazy splitting makes the *deque
 //! element* a range that fissions only under observed thief demand, so
 //! the fine decomposition keeps its load-balance without paying its
-//! scheduling bill. Shared by `fig3_native_speedup` and the
-//! `granularity_ablation` smoke binary.
+//! scheduling bill.
 
 use rph::prelude::*;
 use rph_native::{Granularity, NativeConfig, StealPolicy};
@@ -59,17 +58,13 @@ fn best_of(reps: usize, mut run: impl FnMut() -> Duration) -> Duration {
     (0..reps).map(|_| run()).min().expect("reps >= 1")
 }
 
-/// One ablation point through the shared sweep loop: `w` at the host's
-/// worker count under `cfg`, best-of-[`REPS`] — returns the whole best
-/// rep so callers can read its counters alongside its time.
+/// One ablation point: `w` under `cfg`, best-of-[`REPS`]
+/// checksum-checked runs — returns the whole best rep so callers can
+/// read its counters alongside its time.
 fn best_point(w: &dyn NativeWorkload, cfg: &NativeConfig) -> rph_workloads::NativeMeasured {
-    let point = crate::sweep_workload(w, &[cfg.workers], REPS, |_| cfg.clone());
-    point
-        .into_iter()
-        .next()
-        .expect("one worker count, one point")
-        .samples
-        .into_iter()
+    let ctx = format!("{} workers, {:?} backend", cfg.workers, cfg.backend);
+    (0..REPS)
+        .map(|_| crate::oracles::checked_run(w, cfg, &ctx))
         .min_by_key(|m| m.wall)
         .expect("reps >= 1")
 }

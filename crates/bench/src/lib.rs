@@ -16,7 +16,6 @@
 //! | task decomposition (sumEuler chunking) | `decomposition_sumeuler` |
 //! | heap organisation: stop-the-world → per-capability nurseries | `alloc_area_ablation` |
 //! | §VI — scaling beyond 16 cores | `future_manycore` |
-//! | native wall-clock speedups (real threads) | `fig3_native_speedup` |
 //! | native wall-clock traces + overhead report | `trace_native` |
 //! | native scheduling ablations (granularity, pool reuse, victim choice) | `granularity_ablation` |
 //! | §V oversubscription + cluster topology ablation | `oversub_sweep` |
@@ -35,8 +34,7 @@ pub mod granularity;
 pub mod oracles;
 
 use rph::prelude::*;
-use rph_native::NativeConfig;
-use rph_workloads::{Measured, NativeMeasured, NativeWorkload, Scale};
+use rph_workloads::{Measured, Scale};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -126,55 +124,6 @@ pub fn bench_scale() -> Scale {
     } else {
         Scale::Full
     }
-}
-
-/// One measured point of a native worker sweep: every rep of one
-/// workload at one worker count, each rep checksum-checked against the
-/// plain-Rust oracle before it was kept.
-pub struct SweepPoint {
-    /// Worker (or PE) count of this point.
-    pub workers: usize,
-    /// All reps, in run order (unsorted).
-    pub samples: Vec<NativeMeasured>,
-}
-
-impl SweepPoint {
-    /// The fastest rep — the best-of statistic the wall-clock gates
-    /// use (this shared host shows ~1.5× run-to-run noise, and best-of
-    /// is the stable statistic).
-    pub fn best(&self) -> &NativeMeasured {
-        self.samples
-            .iter()
-            .min_by_key(|m| m.wall)
-            .expect("at least one rep")
-    }
-}
-
-/// Sweep one workload across `workers` on the config `make_cfg`
-/// builds, `reps` checksum-checked runs per point. This is the one
-/// rep/sweep loop every native harness shares; the per-binary policy
-/// (which counters to report, which gates to enforce) stays in the
-/// binary.
-pub fn sweep_workload(
-    w: &dyn NativeWorkload,
-    workers: &[usize],
-    reps: usize,
-    mut make_cfg: impl FnMut(usize) -> NativeConfig,
-) -> Vec<SweepPoint> {
-    workers
-        .iter()
-        .map(|&k| {
-            let cfg = make_cfg(k);
-            let ctx = format!("{k} workers, {:?} backend, {:?}", cfg.backend, cfg.mode);
-            let samples = (0..reps)
-                .map(|_| oracles::checked_run(w, &cfg, &ctx))
-                .collect();
-            SweepPoint {
-                workers: k,
-                samples,
-            }
-        })
-        .collect()
 }
 
 /// The paper's machines: the Intel 8-core (Figs. 1, 2, 4) and the AMD

@@ -5,29 +5,14 @@ use crate::pool::Pool;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-/// How tasks reach the workers (the paper's push-vs-steal axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Distribution {
-    /// Static work-pushing: every worker is dealt its share of the
-    /// tasks before the run and workers never steal. This is the GHC
-    /// 6.8 `schedulePushWork` shape without its scheduler-delay
-    /// pathology — and it inherits static distribution's load
-    /// imbalance on irregular tasks.
-    Push,
-    /// Work-pulling: all tasks start on worker 0's deque; idle workers
-    /// pull through the Chase–Lev steal path (batched), with
-    /// exponential backoff on contention and parking when idle.
-    Steal,
-}
-
 /// Which native execution model runs the tasks (the paper's central
 /// GpH-vs-Eden axis, on real threads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
     /// Shared-heap work stealing (GpH-style): one [`crate::Pool`] of
     /// workers over Chase–Lev deques publishing into a shared
-    /// [`ResultHeap`]. Honours [`NativeConfig::mode`],
-    /// [`NativeConfig::granularity`] and [`NativeConfig::steal_policy`].
+    /// [`ResultHeap`]. Honours [`NativeConfig::granularity`] and
+    /// [`NativeConfig::steal_policy`].
     Steal,
     /// Message passing (Eden-style): one thread per PE with private
     /// working memory, exchanging fully-evaluated [`crate::Packet`]s
@@ -74,12 +59,11 @@ pub enum Granularity {
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct NativeConfig {
-    /// Number of OS worker threads (PEs, on the Eden backend).
+    /// Participants in a run: on the steal backend the calling thread
+    /// plus `workers − 1` pool threads; on the Eden backend, PEs.
     pub workers: usize,
     /// Which execution model runs the tasks.
     pub backend: BackendKind,
-    /// Task distribution policy (steal backend only).
-    pub mode: Distribution,
     /// Initial deque capacity per worker (grows as needed).
     pub deque_cap: usize,
     /// Task granularity policy.
@@ -125,16 +109,14 @@ pub const DEFAULT_TRACE_CAP: usize = 32 * 1024;
 pub const DEFAULT_CHAN_CAP: usize = 8;
 
 impl NativeConfig {
-    /// The canonical constructor: `workers` threads on the default
-    /// backend (shared-heap work stealing, the paper's preferred GpH
-    /// policy §IV.A.2) with adaptive lazy-split granularity. Pick a
-    /// different model with [`Self::with_backend`] /
-    /// [`Self::with_distribution`].
+    /// The canonical constructor: `workers` participants on the
+    /// default backend (shared-heap work stealing, the paper's
+    /// preferred GpH policy §IV.A.2) with adaptive lazy-split
+    /// granularity. Pick the other model with [`Self::with_backend`].
     pub fn new(workers: usize) -> Self {
         NativeConfig {
             workers: workers.max(1),
             backend: BackendKind::Steal,
-            mode: Distribution::Steal,
             deque_cap: 256,
             granularity: Granularity::LazySplit,
             steal_policy: StealPolicy::Randomized,
@@ -147,22 +129,9 @@ impl NativeConfig {
     }
 
     /// Alias for [`Self::new`], kept for callers that want the
-    /// distribution policy in the constructor name: work-pulling on
-    /// `workers` threads.
+    /// work-pulling policy in the constructor name.
     pub fn steal(workers: usize) -> Self {
         Self::new(workers)
-    }
-
-    /// Alias for `new(workers).with_distribution(Distribution::Push)`:
-    /// static pushing on `workers` threads.
-    pub fn push(workers: usize) -> Self {
-        Self::new(workers).with_distribution(Distribution::Push)
-    }
-
-    /// Same config, different task distribution policy (steal backend).
-    pub fn with_distribution(mut self, mode: Distribution) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Same config, different execution model.
@@ -438,8 +407,8 @@ pub struct NativeOutcome<T> {
 /// configured backend).
 ///
 /// Results are deterministic (each task's value depends only on the
-/// job), regardless of worker count, distribution policy or
-/// granularity; only the schedule — and the wall-clock time — varies.
+/// job), regardless of worker count or granularity; only the schedule
+/// — and the wall-clock time — varies.
 /// Wave-structured callers should hold a [`Pool`] and call
 /// [`Pool::try_execute`] repeatedly instead of paying a thread spawn/join
 /// per wave here.
@@ -468,7 +437,7 @@ pub fn try_execute<J: Job>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Instant;
 
     struct Squares(usize);
@@ -487,16 +456,14 @@ mod tests {
         (0..n as u64).map(|i| i * i).collect()
     }
 
-    /// Both policies × both granularities for each worker count.
+    /// Both granularities for each worker count.
     fn all_configs(workers: &[usize]) -> Vec<NativeConfig> {
         workers
             .iter()
             .flat_map(|&w| {
                 [
                     NativeConfig::steal(w),
-                    NativeConfig::push(w),
                     NativeConfig::steal(w).with_granularity(Granularity::Fixed),
-                    NativeConfig::push(w).with_granularity(Granularity::Fixed),
                 ]
             })
             .collect()
@@ -537,8 +504,8 @@ mod tests {
 
     #[test]
     fn degenerate_shapes_fewer_tasks_than_workers() {
-        // Single-range jobs and `job.len() < workers` under every
-        // policy/granularity, including odd worker counts.
+        // Single-range jobs and `job.len() < workers` under both
+        // granularities, including odd worker counts.
         for n in [1usize, 2, 3, 7] {
             for cfg in all_configs(&[3, 5, 8]) {
                 let out = execute(&Squares(n), &cfg);
@@ -560,19 +527,6 @@ mod tests {
     fn single_task_many_workers() {
         let out = execute(&Squares(1), &NativeConfig::steal(8));
         assert_eq!(out.values, vec![0]);
-    }
-
-    #[test]
-    fn push_mode_stays_static() {
-        for g in [Granularity::Fixed, Granularity::LazySplit] {
-            let out = execute(&Squares(100), &NativeConfig::push(4).with_granularity(g));
-            assert_eq!(out.values, expected(100), "{g:?}");
-            // Static deal: exactly 25 tasks per worker, none stolen.
-            assert_eq!(out.stats.per_worker, vec![25, 25, 25, 25], "{g:?}");
-            assert_eq!(out.stats.tasks_stolen, 0, "{g:?}");
-            assert_eq!(out.stats.tasks_local, 100, "{g:?}");
-            assert_eq!(out.stats.steal_ops, 0, "{g:?}");
-        }
     }
 
     /// The sharded pool-of-pools is a victim-*ordering* change, not a
@@ -688,51 +642,60 @@ mod tests {
         assert_eq!(out.values, (0..33).map(|i| i / 2).collect::<Vec<_>>());
     }
 
-    /// One task blocks the run open until the cheap tasks are done;
-    /// the workers left with nothing to do must park (not busy-wait),
-    /// and completion must still wake everyone promptly.
-    struct OneLong {
-        others_done: AtomicU64,
+    /// The first task a helper runs holds the run open; every task on
+    /// the calling thread waits until that hold has begun, so the hold
+    /// can never land on the caller, whichever participant gets which
+    /// range.
+    struct HelperHolds {
+        caller: std::thread::ThreadId,
+        held: AtomicBool,
+        hold: Duration,
     }
-    impl Job for OneLong {
+    impl HelperHolds {
+        fn new(hold: Duration) -> Self {
+            HelperHolds {
+                caller: std::thread::current().id(),
+                held: AtomicBool::new(false),
+                hold,
+            }
+        }
+    }
+    impl Job for HelperHolds {
         type Out = u64;
         fn len(&self) -> usize {
             4
         }
         fn run(&self, idx: usize) -> u64 {
-            if idx == 0 {
-                // Wait for the stealable tasks (at least 2 of the
-                // other 3 are outside any range this worker holds),
-                // then hold the run open long enough for the now-idle
-                // workers to exhaust their spin budget and park.
+            if std::thread::current().id() == self.caller {
                 let deadline = Instant::now() + Duration::from_secs(10);
-                while self.others_done.load(Ordering::Acquire) < 2 {
+                while !self.held.load(Ordering::Acquire) {
                     assert!(Instant::now() < deadline, "helpers never ran");
                     std::hint::spin_loop();
                 }
-                let hold = Instant::now() + Duration::from_millis(100);
-                while Instant::now() < hold {
+            } else if !self.held.swap(true, Ordering::AcqRel) {
+                let until = Instant::now() + self.hold;
+                while Instant::now() < until {
                     std::hint::spin_loop();
                 }
-            } else {
-                self.others_done.fetch_add(1, Ordering::Release);
             }
             idx as u64
         }
     }
 
+    /// While one helper holds the run open, the other helpers run out
+    /// of work: they leave instead of parking, so the caller — the only
+    /// thread that sleeps inside a run — parks exactly once, and the
+    /// last task's completion wakes it promptly.
     #[test]
     fn starved_workers_park_and_wake_on_completion() {
-        let job = OneLong {
-            others_done: AtomicU64::new(0),
-        };
+        let job = HelperHolds::new(Duration::from_millis(100));
         let start = Instant::now();
         let out = execute(&job, &NativeConfig::steal(4));
         let elapsed = start.elapsed();
         assert_eq!(out.values, vec![0, 1, 2, 3]);
-        assert!(
-            out.stats.parks > 0,
-            "idle workers should park while the long task runs: {:?}",
+        assert_eq!(
+            out.stats.parks, 1,
+            "only the caller parks, once, while a helper holds the run: {:?}",
             out.stats
         );
         // Completion must not wait out park timeouts one by one.

@@ -15,16 +15,19 @@
 //!   like Eden processes, workers "communicate only WHNF data", here
 //!   by writing each task's result into its slot of a shared
 //!   [`ResultHeap`] exactly once.
-//! * A [`Pool`] spawns one worker per requested core **once** and
-//!   accepts repeated [`Pool::try_execute`] calls — wave-structured
-//!   workloads (APSP's n pivot waves) reuse the same threads instead
-//!   of paying n spawn/join barriers. [`execute`] remains the one-shot
+//! * A [`Pool`] spawns its helper threads **once** and accepts
+//!   repeated [`Pool::try_execute`] calls — wave-structured workloads
+//!   (APSP's n pivot waves) reuse the same threads instead of paying n
+//!   spawn/join barriers. The calling thread is participant 0 of every
+//!   run: it seeds its own deque, invites only as many helpers as the
+//!   run has tasks, and works alongside them, as a GHC capability
+//!   carries on after a `par`. [`execute`] remains the one-shot
 //!   convenience wrapper.
-//! * Each worker owns a `chase_lev::Worker` deque of packed
+//! * Each participant owns a `chase_lev::Worker` deque of packed
 //!   `(lo, hi)` index ranges (`rph_deque::Range32`); every other
-//!   worker holds a `Stealer` handle onto it.
-//! * Two distribution policies mirror the paper's push-vs-steal
-//!   comparison ([`Distribution`]); two granularity policies
+//!   participant holds a `Stealer` handle onto it.
+//! * Work starts on the caller's deque and idle participants pull it
+//!   (the paper's work stealing); two granularity policies
 //!   ([`Granularity`]) put PR 1's fixed per-task dealing and the
 //!   adaptive **lazy range splitting** side by side: ranges execute
 //!   sequentially at the owner end and fission only under observed
@@ -34,9 +37,9 @@
 //!   order** by default ([`StealPolicy`]: a per-worker xorshift
 //!   permutation per sweep, seeded from `NativeConfig::seed` so runs
 //!   replay identically; fixed round-robin kept as the ablation);
-//!   idle workers spin briefly, then **park** on a Condvar-backed
-//!   eventcount instead of busy-waiting, woken by new pushes or run
-//!   completion. Hot shared words (deque `top`/`bottom`, park flags,
+//!   idle helpers spin briefly, then leave the run, while an idle
+//!   caller **parks** on a Condvar-backed eventcount, woken by new
+//!   pushes or run completion. Hot shared words (deque `top`/`bottom`, park flags,
 //!   per-worker stats slots, run state) are cache-line padded
 //!   (`rph_deque::CachePadded`) against false sharing.
 //! * With [`NativeConfig::trace`] set, every worker records
@@ -52,7 +55,7 @@
 //! differential tests (in `rph-workloads` and the top-level
 //! integration suite) assert that native results are bit-identical to
 //! `GphRuntime` results for every workload at 1, 2, 3, 4, 5 and 8
-//! workers, under both policies and both granularities.
+//! workers, under both granularities.
 
 //! ## The second native backend: Eden-style message passing
 //!
@@ -70,7 +73,6 @@
 //!   blocks land in the same wall-clock trace machinery, so Eden runs
 //!   render the same per-core timelines — now with message events.
 
-mod affinity;
 mod cancel;
 pub mod channel;
 mod eden;
@@ -86,8 +88,8 @@ pub use cancel::CancelToken;
 pub use channel::{bounded, Packet, Receiver, Sender, TrySendError, Wordsize};
 pub use error::{EdenIncomplete, JobPanicked, RunError};
 pub use executor::{
-    execute, try_execute, BackendKind, Distribution, Granularity, Job, NativeConfig, NativeOutcome,
-    NativeStats, ResultHeap, StealPolicy, DEFAULT_CHAN_CAP, DEFAULT_TRACE_CAP,
+    execute, try_execute, BackendKind, Granularity, Job, NativeConfig, NativeOutcome, NativeStats,
+    ResultHeap, StealPolicy, DEFAULT_CHAN_CAP, DEFAULT_TRACE_CAP,
 };
 pub use pool::Pool;
 pub use skeletons::{

@@ -1,31 +1,41 @@
 //! The persistent worker pool with adaptive-granularity scheduling.
 //!
-//! [`Pool`] spawns its OS workers **once** and accepts repeated
-//! [`Pool::try_execute`] calls: wave-structured workloads (APSP issues one
-//! run per pivot) reuse the same threads and deques instead of paying a
-//! full spawn/join barrier per wave. Within a run:
+//! [`Pool`] spawns its `workers − 1` helper threads **once** and accepts
+//! repeated [`Pool::try_execute`] calls: wave-structured workloads
+//! (APSP issues one run per pivot) reuse the same threads and deques
+//! instead of paying a full spawn/join barrier per wave. The thread
+//! that calls `try_execute` is **participant 0** of its own run, as a
+//! GHC capability that sparks carries on evaluating:
 //!
+//! * It seeds its own deque with the whole run, and only then invites
+//!   `min(tasks, workers) − 1` helpers, one `notify_one` per seat — a
+//!   helper never meets an unseeded run, and a one-task run is a plain
+//!   function call that wakes nobody.
 //! * Tasks travel as packed `(lo, hi)` index ranges
 //!   ([`rph_deque::Range32`] — two `u32`s in the deque's `u64` slot).
-//! * **Lazy range splitting** ([`Granularity::LazySplit`]): a worker
-//!   executes its range sequentially from the low end, but before each
-//!   index checks whether its own deque has gone empty — the signal
-//!   that thieves are hungry — and if so pushes the upper half off as a
-//!   new stealable range. Granularity thus adapts to observed demand:
-//!   a lone worker runs the whole job with O(log n) scheduling actions,
-//!   while under contention ranges fission until every core is fed.
+//! * **Lazy range splitting** ([`Granularity::LazySplit`]): a
+//!   participant executes its range sequentially from the low end, but
+//!   before each index checks whether its own deque has gone empty —
+//!   the signal that thieves are hungry — and if so pushes the upper
+//!   half off as a new stealable range. Granularity thus adapts to
+//!   observed demand: a lone caller runs the whole job with O(log n)
+//!   scheduling actions, while under contention ranges fission until
+//!   every core is fed.
 //! * Thieves use [`Stealer::steal_batch_and_pop`], landing up to half
 //!   the victim's elements in their own deque per probe.
-//! * Idle workers spin for a bounded number of fruitless sweeps, then
-//!   park on the [`EventCount`] until a push or run completion wakes
-//!   them (see `park.rs` for the lost-wakeup argument).
+//! * A helper takes a seat under the control lock, at most once per
+//!   run, and **never sleeps inside a run**: after `SPIN_SWEEPS`
+//!   fruitless sweeps it checks out and goes back to waiting for the
+//!   next invitation. The caller is the only thread that sleeps inside
+//!   a run — on the [`EventCount`], when every deque is empty but tasks
+//!   are still in flight (see `park.rs` for the lost-wakeup argument),
+//!   and at run end, until every seated helper has checked out. It
+//!   never waits for an invited helper that has not arrived.
 
-use crate::affinity::Homes;
 use crate::cancel::CancelToken;
 use crate::error::{JobPanicked, RunError};
 use crate::executor::{
-    Distribution, Granularity, Job, NativeConfig, NativeOutcome, NativeStats, ResultHeap,
-    StealPolicy,
+    Granularity, Job, NativeConfig, NativeOutcome, NativeStats, ResultHeap, StealPolicy,
 };
 use crate::park::EventCount;
 use crate::trace::{map_events, NEvent, NEventKind, TraceBuf};
@@ -34,11 +44,12 @@ use rph_deque::chase_lev::{self, BatchSteal, Stealer, Worker};
 use rph_deque::{CachePadded, Range32};
 use rph_trace::{CapId, Tracer, WallClock};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Fruitless full sweeps over every victim before a worker parks.
+/// Fruitless full sweeps over every victim before a helper leaves the
+/// run (or the caller parks).
 const SPIN_SWEEPS: usize = 64;
 
 /// Most tasks a single run hands to the workers: range bounds must fit
@@ -47,48 +58,26 @@ const SPIN_SWEEPS: usize = 64;
 /// [`Pool::try_execute`]) instead of silently truncating indices.
 const MAX_RUN_TASKS: usize = u32::MAX as usize;
 
-/// A run at least this wide (tasks per worker) and this long in which
-/// some worker executed nothing is taken as evidence that the kernel
-/// has queued that worker behind another on one CPU (see
-/// `affinity.rs`): under lazy splitting a thief that got on a CPU at
-/// any time during such a run would have found a range to steal. The
-/// bounds keep ordinary short or narrow runs — where a late worker
-/// legitimately finds nothing left — from counting.
-const STARVED_MIN_TASKS_PER_WORKER: usize = 64;
-const STARVED_MIN_WALL: Duration = Duration::from_micros(200);
-
-/// Did a worker sit out a run it should have got a share of?
-fn starved(tasks: usize, wall: Duration, per_worker: &[u64]) -> bool {
-    tasks >= STARVED_MIN_TASKS_PER_WORKER * per_worker.len()
-        && wall >= STARVED_MIN_WALL
-        && per_worker.contains(&0)
-}
-
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// One run, as published to the workers. The runner reference is
-/// lifetime-erased; see the safety comment in [`Pool::try_execute`].
+/// One run, as published to the helpers. The runner reference is
+/// lifetime-erased; see the safety comment in `Pool::execute_inner`.
 #[derive(Clone)]
 struct RunCmd {
     runner: &'static (dyn Fn(u64) + Sync),
     n: u64,
-    mode: Distribution,
-    granularity: Granularity,
-    /// The run's shared time zero, so every worker's trace events and
-    /// the coordinator's wall measurement agree.
+    /// The run's shared time zero, so every participant's trace events
+    /// and the caller's wall measurement agree.
     clock: WallClock,
     /// Cooperative cancel flag for this run, polled at range
     /// boundaries. `None` for uncancellable runs.
     cancel: Option<CancelToken>,
-    /// The previous run starved a worker: every worker moves to its
-    /// home CPU before it starts on this one.
-    respread: bool,
 }
 
-/// Per-worker, per-run counters, accumulated without synchronisation
-/// and merged under the control lock at run end.
+/// Per-participant, per-run counters, accumulated without
+/// synchronisation and merged under the control lock at run end.
 #[derive(Debug, Clone, Default)]
 struct WorkerStats {
     ran: u64,
@@ -106,80 +95,168 @@ struct WorkerStats {
     parks: u64,
 }
 
-/// State guarded by the control mutex: run hand-off and completion.
+/// State guarded by the control mutex: invitations and check-outs.
 struct Ctrl {
     run_seq: u64,
+    /// The current run; `Some` from the caller's invitation until it
+    /// ends the run.
     cmd: Option<RunCmd>,
-    done: usize,
-    /// Per-worker stats slots, one cache line each: every worker
-    /// writes its own slot at run end while siblings are writing
-    /// theirs (the mutex serialises the *writes*, not the line
-    /// ping-pong of unrelated slots packed together).
+    /// Invitations of the current run no helper has taken yet.
+    seats: usize,
+    /// Per-participant stats slots, one cache line each: helpers write
+    /// their own slot at check-out while siblings may be writing theirs
+    /// (the mutex serialises the *writes*, not the line ping-pong of
+    /// unrelated slots packed together).
     worker_stats: Vec<CachePadded<WorkerStats>>,
-    /// Per-worker trace events of the finished run (empty when tracing
-    /// is off), flushed here by each worker alongside its stats.
+    /// Per-participant trace events of the finished run (empty when
+    /// tracing is off or the helper sat it out).
     worker_events: Vec<Vec<NEvent>>,
-    /// Per-worker count of events that overflowed the trace buffer.
+    /// Per-participant count of events that overflowed the trace buffer.
     worker_dropped: Vec<u64>,
     shutdown: bool,
 }
 
-/// State shared between the pool handle and its workers.
+/// State shared between the pool handle and its helpers.
 ///
 /// `remaining` is the run's shared hot word — decremented by every
-/// worker per task, polled by every idle worker per probe loop — and
+/// participant per task, polled by every idle one per probe loop — and
 /// `panicked` sits on the same polling paths; each gets its own cache
 /// line so a task completion does not invalidate the line an idle
-/// worker is spinning on for an unrelated field (the eventcount pads
-/// its own internals the same way).
+/// participant is spinning on for an unrelated field (the eventcount
+/// pads its own internals the same way).
 struct Shared {
     ctrl: Mutex<Ctrl>,
+    /// Idle helpers wait here for a seat (or shutdown).
     start_cv: Condvar,
-    done_cv: Condvar,
     /// Tasks not yet executed in the current run.
     remaining: CachePadded<AtomicU64>,
-    /// Set when any worker's task panicked; aborts the run.
+    /// Set when any participant's task panicked; aborts the run.
     panicked: CachePadded<AtomicBool>,
+    /// Helpers seated in the current run that have not checked out.
+    /// Changed only under the control lock; read without it by the
+    /// caller waiting for check-outs.
+    inside: AtomicUsize,
+    /// The caller's only sleeping place inside a run: idle with tasks
+    /// still in flight, or waiting for check-outs.
     ec: EventCount,
     stealers: Vec<Stealer<Range32>>,
+    /// Participants per run: the caller plus the helper threads.
     workers: usize,
-    /// Workers per shard (pools-of-pools); `workers` when the pool is
-    /// flat. Worker `w` lives in shard `w / per_shard`; thieves probe
-    /// every shard-mate before any remote shard, and cross-shard
+    /// Participants per shard (pools-of-pools); `workers` when the pool
+    /// is flat. Participant `w` lives in shard `w / per_shard`; thieves
+    /// probe every shard-mate before any remote shard, and cross-shard
     /// steals are counted separately.
     per_shard: usize,
     /// Victim-selection policy and seed, fixed at pool construction.
     steal_policy: StealPolicy,
     seed: u64,
-    /// Wall-clock event tracing on/off and per-worker buffer size,
+    /// Wall-clock event tracing on/off and per-participant buffer size,
     /// fixed at pool construction.
     trace_on: bool,
     trace_cap: usize,
-    /// Where each worker goes when the pool re-spreads them; `None`
-    /// when it never does (see [`Homes::plan`]).
-    homes: Option<Homes>,
+}
+
+impl Shared {
+    /// Block until every helper seated in the run has checked out. A
+    /// check-out is normally a few instructions away, so yield a while
+    /// before parking; each check-out notifies the eventcount.
+    fn wait_for_check_outs(&self) {
+        let inside = || self.inside.load(Ordering::SeqCst) > 0;
+        for _ in 0..SPIN_SWEEPS {
+            if !inside() {
+                return;
+            }
+            std::thread::yield_now();
+        }
+        while inside() {
+            self.ec.park_if(inside);
+        }
+    }
+}
+
+/// What one participant keeps from run to run: its deque's owner end,
+/// its trace buffer and its victim-order buffer, each allocated once.
+struct Participant {
+    me: usize,
+    local: Worker<Range32>,
+    tbuf: TraceBuf,
+    picker: VictimPicker,
+}
+
+impl Participant {
+    fn new(me: usize, local: Worker<Range32>, shared: &Shared) -> Self {
+        Participant {
+            me,
+            local,
+            tbuf: TraceBuf::new(shared.trace_on, shared.trace_cap),
+            picker: VictimPicker::new(shared.steal_policy, me, shared.workers, shared.per_shard),
+        }
+    }
+
+    /// Join `cmd`'s run: adopt its clock and record the start.
+    fn enter(&mut self, shared: &Shared, cmd: &RunCmd) {
+        self.tbuf.begin_run(cmd.clock);
+        // Re-seed per run, so identical configs replay byte-identical
+        // probe sequences no matter how many runs preceded them.
+        self.picker.begin_run(shared.seed);
+        self.tbuf.record(NEventKind::RunStart { tasks: cmd.n });
+    }
+
+    /// Work on the run until it is over for this participant, and
+    /// return its counters. Consumes `cmd`: the erased runner borrow is
+    /// gone when this returns.
+    fn work(&mut self, shared: &Shared, cmd: RunCmd) -> WorkerStats {
+        let mut stats = WorkerStats::default();
+        let run = RunCtx {
+            me: self.me,
+            local: &self.local,
+            shared,
+            cmd,
+        };
+        if catch_unwind(AssertUnwindSafe(|| {
+            run.run(&mut stats, &mut self.tbuf, &mut self.picker)
+        }))
+        .is_err()
+        {
+            shared.panicked.store(true, Ordering::SeqCst);
+            shared.ec.notify_all();
+        }
+        if shared.panicked.load(Ordering::SeqCst) || run.cancelled() {
+            // Abandoned run (panic or cancellation): clear leftovers so
+            // they cannot leak into the next run's index space.
+            while self.local.pop().is_some() {}
+        }
+        stats
+    }
+
+    /// Publish this participant's counters and trace into its slots.
+    fn publish(&mut self, ctrl: &mut Ctrl, stats: WorkerStats) {
+        *ctrl.worker_stats[self.me] = stats;
+        ctrl.worker_dropped[self.me] = self.tbuf.flush_into(&mut ctrl.worker_events[self.me]);
+    }
 }
 
 /// A persistent pool of worker threads executing [`Job`]s.
 ///
-/// Workers are spawned by [`Pool::new`] and joined on drop; every
-/// [`Pool::try_execute`] in between reuses them. `execute` takes `&mut
-/// self` — runs are strictly sequential per pool.
+/// [`Pool::new`] spawns `workers − 1` helper threads, joined on drop;
+/// every [`Pool::try_execute`] in between reuses them, with the calling
+/// thread as participant 0. `try_execute` takes `&mut self` — runs are
+/// strictly sequential per pool.
 pub struct Pool {
     shared: Arc<Shared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    mode: Distribution,
+    /// Participant 0: whichever thread calls `try_execute`.
+    lead: Participant,
+    helpers: Vec<std::thread::JoinHandle<()>>,
     granularity: Granularity,
     /// Most tasks per run; `MAX_RUN_TASKS` except in tests, which
     /// shrink it to exercise the chunking path at sane job sizes.
     run_cap: usize,
-    /// Set when a run starved a worker; consumed by the next run.
-    respread: bool,
 }
 
 impl Pool {
-    /// Spawn `cfg.workers` threads, each owning a Chase–Lev deque of
-    /// `cfg.deque_cap` initial slots (deques grow on demand).
+    /// Spawn `cfg.workers − 1` helper threads; every participant owns a
+    /// Chase–Lev deque of `cfg.deque_cap` initial slots (deques grow on
+    /// demand).
     pub fn new(cfg: &NativeConfig) -> Pool {
         let workers = cfg.workers.max(1);
         let shards = cfg.shards.max(1);
@@ -198,16 +275,16 @@ impl Pool {
             ctrl: Mutex::new(Ctrl {
                 run_seq: 0,
                 cmd: None,
-                done: 0,
+                seats: 0,
                 worker_stats: vec![CachePadded::new(WorkerStats::default()); workers],
                 worker_events: vec![Vec::new(); workers],
                 worker_dropped: vec![0; workers],
                 shutdown: false,
             }),
             start_cv: Condvar::new(),
-            done_cv: Condvar::new(),
             remaining: CachePadded::new(AtomicU64::new(0)),
             panicked: CachePadded::new(AtomicBool::new(false)),
+            inside: AtomicUsize::new(0),
             ec: EventCount::new(),
             stealers,
             workers,
@@ -216,30 +293,33 @@ impl Pool {
             seed: cfg.seed,
             trace_on: cfg.trace,
             trace_cap: cfg.trace_cap,
-            homes: Homes::plan(workers),
         });
-        let handles = owners
-            .into_iter()
-            .enumerate()
+        let mut owners = owners.into_iter().enumerate();
+        let (_, lead) = owners.next().expect("at least one participant");
+        let lead = Participant::new(0, lead, &shared);
+        let helpers = owners
             .map(|(me, local)| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("rph-native-{me}"))
-                    .spawn(move || worker_main(me, local, shared))
-                    .expect("spawn pool worker")
+                    .spawn(move || {
+                        let part = Participant::new(me, local, &shared);
+                        helper_main(part, &shared)
+                    })
+                    .expect("spawn pool helper")
             })
             .collect();
         Pool {
             shared,
-            handles,
-            mode: cfg.mode,
+            lead,
+            helpers,
             granularity: cfg.granularity,
             run_cap: MAX_RUN_TASKS,
-            respread: false,
         }
     }
 
-    /// Number of worker threads.
+    /// Number of participants per run: the calling thread plus the
+    /// helper threads.
     pub fn workers(&self) -> usize {
         self.shared.workers
     }
@@ -252,18 +332,19 @@ impl Pool {
         self.run_cap = cap;
     }
 
-    /// Run every task of `job` on the pool's workers and return the
-    /// results in task order. Semantics are identical to
-    /// [`crate::execute`]; only the thread lifecycle differs.
+    /// Run every task of `job` on the calling thread and the pool's
+    /// helpers and return the results in task order. Semantics are
+    /// identical to [`crate::execute`]; only the thread lifecycle
+    /// differs.
     ///
     /// Jobs longer than the packed-range index space (`u32::MAX`
     /// tasks) are executed as consecutive chunks — every task still
     /// runs exactly once and results stay in task order; indices are
     /// never truncated.
     ///
-    /// A panicking task aborts the run (remaining tasks are
-    /// discarded) and surfaces here as `Err(JobPanicked)`; the pool's
-    /// workers survive and keep serving subsequent runs.
+    /// A panicking task — on a helper or on the calling thread — aborts
+    /// the run (remaining tasks are discarded) and surfaces here as
+    /// `Err(JobPanicked)`; the pool keeps serving subsequent runs.
     pub fn try_execute<J: Job>(&mut self, job: &J) -> Result<NativeOutcome<J::Out>, JobPanicked> {
         self.execute_inner(job, None).map_err(|e| match e {
             RunError::Panicked(p) => p,
@@ -273,25 +354,17 @@ impl Pool {
     }
 
     /// [`Self::try_execute`] with a cooperative [`CancelToken`]:
-    /// workers poll the token at every range boundary (and parked
-    /// workers within the 10 ms park safety timeout), so a cancelled
-    /// run winds down after at most one in-flight range per worker and
-    /// returns `Err(RunError::Cancelled)`, discarding partial results.
+    /// participants poll the token at every range boundary (and the
+    /// parked caller within the 10 ms park safety timeout), so a
+    /// cancelled run winds down after at most one in-flight range per
+    /// participant and returns `Err(RunError::Cancelled)`, discarding
+    /// partial results.
     pub fn try_execute_cancellable<J: Job>(
         &mut self,
         job: &J,
         cancel: &CancelToken,
     ) -> Result<NativeOutcome<J::Out>, RunError> {
         self.execute_inner(job, Some(cancel))
-    }
-
-    /// Panicking wrapper kept for one release: existing one-shot
-    /// callers that treat a task panic as fatal. New code — anything
-    /// long-running — should use [`Self::try_execute`].
-    #[deprecated(note = "use try_execute: a panicking job aborts the calling thread here")]
-    pub fn execute<J: Job>(&mut self, job: &J) -> NativeOutcome<J::Out> {
-        self.try_execute(job)
-            .unwrap_or_else(|_| panic!("a worker panicked during a native run"))
     }
 
     fn execute_inner<J: Job>(
@@ -302,19 +375,6 @@ impl Pool {
         let n = job.len();
         let workers = self.shared.workers;
         let mut trace = self.shared.trace_on.then(|| Tracer::new(workers));
-        if n == 0 {
-            return Ok(NativeOutcome {
-                values: Vec::new(),
-                wall: Duration::ZERO,
-                stats: NativeStats {
-                    per_worker: vec![0; workers],
-                    ..NativeStats::default()
-                },
-                trace,
-                trace_dropped: 0,
-            });
-        }
-
         let clock = WallClock::start();
         let mut values: Vec<J::Out> = Vec::with_capacity(n);
         let mut stats = NativeStats {
@@ -332,42 +392,67 @@ impl Pool {
             let heap = ResultHeap::new(count);
             let runner = |i: u64| heap.publish(i as usize, job.run(base + i as usize));
             let runner_ref: &(dyn Fn(u64) + Sync) = &runner;
-            // SAFETY: workers call `runner` only between observing the
-            // new `run_seq` and incrementing `done`; this chunk's loop
-            // body blocks until `done == workers` before moving on, so
-            // the erased borrow of `heap`/`job` strictly outlives every
-            // use. `cmd` is cleared below before the borrow expires.
+            // SAFETY: `runner` is called only by this chunk's
+            // participants: the caller, inside `lead.work` below, and
+            // helpers seated in the run. A helper takes its seat under
+            // the control lock while `cmd` is `Some`, counting itself
+            // in `inside`; it reaches `runner` only through the
+            // `RunCmd` it cloned there, drops that `RunCmd` at the end
+            // of `Participant::work`, and only then checks out of
+            // `inside` under the lock. Before this chunk's body ends,
+            // the caller clears `cmd` and the seats under the lock —
+            // no seat can be taken after that — and waits until
+            // `inside` is zero. Nothing between the invitation and that
+            // wait can unwind (tasks run under `catch_unwind`), so the
+            // erased borrow of `heap`/`job` strictly outlives every use.
             let runner_static: &'static (dyn Fn(u64) + Sync) =
                 unsafe { std::mem::transmute::<&(dyn Fn(u64) + Sync), _>(runner_ref) };
 
             self.shared.panicked.store(false, Ordering::SeqCst);
             self.shared.remaining.store(count as u64, Ordering::SeqCst);
             let start = Instant::now();
+            let cmd = RunCmd {
+                runner: runner_static,
+                n: count as u64,
+                clock,
+                cancel: cancel.cloned(),
+            };
+            // Seed before inviting anyone, so no helper meets an
+            // unseeded run: everything starts on the caller's deque, as
+            // one range (split on demand) or as per-index unit ranges.
+            self.lead.enter(&self.shared, &cmd);
+            match self.granularity {
+                Granularity::LazySplit => self.lead.local.push(Range32::new(0, count as u32)),
+                Granularity::Fixed => self
+                    .lead
+                    .local
+                    .push_iter((0..count as u32).map(|i| Range32::new(i, i + 1))),
+            }
+            let helpers = count.min(workers) - 1;
+            if helpers > 0 {
+                let mut ctrl = lock(&self.shared.ctrl);
+                ctrl.cmd = Some(cmd.clone());
+                ctrl.run_seq += 1;
+                ctrl.seats = helpers;
+                drop(ctrl);
+                for _ in 0..helpers {
+                    self.shared.start_cv.notify_one();
+                }
+            }
+            let lead_stats = self.lead.work(&self.shared, cmd);
+
+            // End the run: no seat can be taken from here on, and the
+            // run is over once every seated helper has checked out.
             let chunk_stats = {
                 let mut ctrl = lock(&self.shared.ctrl);
-                ctrl.cmd = Some(RunCmd {
-                    runner: runner_static,
-                    n: count as u64,
-                    mode: self.mode,
-                    granularity: self.granularity,
-                    clock,
-                    cancel: cancel.cloned(),
-                    respread: std::mem::take(&mut self.respread),
-                });
-                ctrl.run_seq += 1;
-                ctrl.done = 0;
-                for s in ctrl.worker_stats.iter_mut() {
-                    **s = WorkerStats::default();
-                }
-                self.shared.start_cv.notify_all();
-                while ctrl.done < workers {
-                    ctrl = self
-                        .shared
-                        .done_cv
-                        .wait(ctrl)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
                 ctrl.cmd = None;
+                ctrl.seats = 0;
+                if self.shared.inside.load(Ordering::SeqCst) > 0 {
+                    drop(ctrl);
+                    self.shared.wait_for_check_outs();
+                    ctrl = lock(&self.shared.ctrl);
+                }
+                self.lead.publish(&mut ctrl, lead_stats);
                 if let Some(tracer) = trace.as_mut() {
                     for (c, events) in ctrl.worker_events.iter_mut().enumerate() {
                         map_events(tracer, CapId(c as u32), events);
@@ -377,11 +462,9 @@ impl Pool {
                         trace_dropped += std::mem::take(d);
                     }
                 }
-                collect_stats(&ctrl.worker_stats)
+                take_stats(&mut ctrl.worker_stats)
             };
-            let chunk_wall = start.elapsed();
-            wall += chunk_wall;
-            self.respread = starved(count, chunk_wall, &chunk_stats.per_worker);
+            wall += start.elapsed();
 
             // Abort checks, in precedence order: a panic trumps a
             // cancel that raced in during the same chunk. On either,
@@ -399,7 +482,6 @@ impl Pool {
             stats.merge(&chunk_stats);
             base += count;
         }
-        assert_eq!(stats.tasks_run, n as u64, "tasks left behind");
         Ok(NativeOutcome {
             values,
             wall,
@@ -412,23 +494,24 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        {
-            let mut ctrl = lock(&self.shared.ctrl);
-            ctrl.shutdown = true;
-            self.shared.start_cv.notify_all();
-        }
-        for h in self.handles.drain(..) {
+        lock(&self.shared.ctrl).shutdown = true;
+        self.shared.start_cv.notify_all();
+        for h in self.helpers.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-fn collect_stats(per_worker: &[CachePadded<WorkerStats>]) -> NativeStats {
+/// Sum the run's per-participant counters, leaving every slot empty for
+/// the next run (a helper that sits it out writes nothing).
+fn take_stats(slots: &mut [CachePadded<WorkerStats>]) -> NativeStats {
     let mut out = NativeStats {
-        per_worker: per_worker.iter().map(|s| s.ran).collect(),
+        per_worker: Vec::with_capacity(slots.len()),
         ..NativeStats::default()
     };
-    for s in per_worker.iter() {
+    for slot in slots.iter_mut() {
+        let s = std::mem::take(&mut **slot);
+        out.per_worker.push(s.ran);
         out.tasks_run += s.ran;
         out.tasks_local += s.local;
         out.tasks_stolen += s.stolen;
@@ -446,80 +529,48 @@ fn collect_stats(per_worker: &[CachePadded<WorkerStats>]) -> NativeStats {
     out
 }
 
-/// `worker`'s contiguous share of `[0, n)` under static block
-/// partitioning. Shared with the Eden backend's ring skeleton, which
-/// uses the same partition for row ownership.
-pub(crate) fn block_share(n: u64, workers: usize, worker: usize) -> (u32, u32) {
-    let w = workers as u64;
-    let lo = (n * worker as u64 / w) as u32;
-    let hi = (n * (worker as u64 + 1) / w) as u32;
-    (lo, hi)
-}
-
-fn worker_main(me: usize, local: Worker<Range32>, shared: Arc<Shared>) {
-    let mut seen_seq = 0u64;
-    // The worker's trace buffer and victim-order buffer are allocated
-    // once, here, and reused across every run the pool ever executes.
-    let mut tbuf = TraceBuf::new(shared.trace_on, shared.trace_cap);
-    let mut picker = VictimPicker::new(shared.steal_policy, me, shared.workers, shared.per_shard);
+fn helper_main(mut part: Participant, shared: &Shared) {
+    // The run_seq of the last run this helper sat in: one seat per run.
+    let mut seated = 0u64;
     loop {
-        // Wait for the next run (or shutdown).
+        // Wait for a seat (or shutdown).
         let cmd = {
             let mut ctrl = lock(&shared.ctrl);
             loop {
                 if ctrl.shutdown {
                     return;
                 }
-                if ctrl.run_seq != seen_seq {
-                    seen_seq = ctrl.run_seq;
-                    break ctrl.cmd.clone().expect("run_seq bumped without a command");
+                match &ctrl.cmd {
+                    Some(cmd) if ctrl.seats > 0 && ctrl.run_seq != seated => {
+                        let cmd = cmd.clone();
+                        ctrl.seats -= 1;
+                        seated = ctrl.run_seq;
+                        shared.inside.fetch_add(1, Ordering::SeqCst);
+                        break cmd;
+                    }
+                    _ => {
+                        ctrl = shared
+                            .start_cv
+                            .wait(ctrl)
+                            .unwrap_or_else(|e| e.into_inner())
+                    }
                 }
-                ctrl = shared
-                    .start_cv
-                    .wait(ctrl)
-                    .unwrap_or_else(|e| e.into_inner());
             }
         };
 
-        if let (true, Some(homes)) = (cmd.respread, &shared.homes) {
-            homes.send_home(me);
-        }
-        tbuf.begin_run(cmd.clock);
-        // Re-seed per run, so identical configs replay byte-identical
-        // probe sequences no matter how many runs preceded them.
-        picker.begin_run(shared.seed);
-        let mut stats = WorkerStats::default();
-        let run = RunCtx {
-            me,
-            local: &local,
-            shared: &shared,
-            cmd,
-        };
-        if catch_unwind(AssertUnwindSafe(|| {
-            run.run(&mut stats, &mut tbuf, &mut picker)
-        }))
-        .is_err()
-        {
-            shared.panicked.store(true, Ordering::SeqCst);
-            shared.ec.notify_all();
-        }
-        if shared.panicked.load(Ordering::SeqCst) || run.cancelled() {
-            // Abandoned run (panic or cancellation): clear leftovers so
-            // they cannot leak into the next run's index space.
-            while local.pop().is_some() {}
-        }
+        part.enter(shared, &cmd);
+        let stats = part.work(shared, cmd);
 
+        // Check out; the caller may be parked waiting for exactly this.
         let mut ctrl = lock(&shared.ctrl);
-        *ctrl.worker_stats[me] = stats;
-        ctrl.worker_dropped[me] = tbuf.flush_into(&mut ctrl.worker_events[me]);
-        ctrl.done += 1;
-        if ctrl.done == shared.workers {
-            shared.done_cv.notify_all();
-        }
+        part.publish(&mut ctrl, stats);
+        shared.inside.fetch_sub(1, Ordering::SeqCst);
+        drop(ctrl);
+        shared.ec.notify_all();
     }
 }
 
-/// Everything one worker needs for one run.
+/// Everything one participant needs for one run.
 struct RunCtx<'a> {
     me: usize,
     local: &'a Worker<Range32>,
@@ -529,18 +580,8 @@ struct RunCtx<'a> {
 
 impl RunCtx<'_> {
     fn run(&self, stats: &mut WorkerStats, tbuf: &mut TraceBuf, picker: &mut VictimPicker) {
-        let workers = self.shared.workers;
-        let n = self.cmd.n;
-        tbuf.record(NEventKind::RunStart { tasks: n });
-        self.seed();
-        // Wake anyone who parked before our seed landed (a fast
-        // sibling can reach the idle path before worker 0 seeds).
-        self.shared.ec.notify_all();
-
         // Splitting only pays when someone can steal the exposed half.
-        let split = self.cmd.granularity == Granularity::LazySplit
-            && self.cmd.mode == Distribution::Steal
-            && workers > 1;
+        let split = self.shared.workers > 1;
 
         'run: loop {
             // Drain the local pool (owner end, LIFO). The cancel poll
@@ -552,22 +593,17 @@ impl RunCtx<'_> {
                 }
                 self.process(r, false, split, stats, tbuf);
             }
-            if self.cmd.mode == Distribution::Push {
-                // Static distribution: an empty local deque means this
-                // worker is done.
-                break;
-            }
-            debug_assert!(n > 0);
             // Work-pulling: probe the other deques until a steal lands
             // or the run finishes. Lost CAS races back off; fruitless
-            // sweeps first spin, then park. `parked_episode` tracks
-            // whether THIS contiguous idle episode already counted a
-            // park: `park_if`'s 10 ms safety timeout (and any spurious
-            // condvar return) drops the worker back into the sweep
-            // loop, and re-parking after another fruitless sweep is
-            // still the same idle episode — counting it again would
-            // inflate `parks` by wall time / 10 ms instead of by
-            // episode. The episode ends only when work arrives.
+            // sweeps first spin, then a helper leaves and the caller
+            // parks. `parked_episode` tracks whether THIS contiguous
+            // idle episode already counted a park: `park_if`'s 10 ms
+            // safety timeout (and any spurious condvar return) drops
+            // the caller back into the sweep loop, and re-parking after
+            // another fruitless sweep is still the same idle episode —
+            // counting it again would inflate `parks` by wall time /
+            // 10 ms instead of by episode. The episode ends only when
+            // work arrives.
             let mut backoff = 1u32;
             let mut fruitless = 0usize;
             let mut parked_episode = false;
@@ -607,7 +643,8 @@ impl RunCtx<'_> {
                             }
                             if moved > 0 {
                                 // The transferred tail is stealable
-                                // from our deque now — tell sleepers.
+                                // from our deque now — tell the caller
+                                // if it sleeps.
                                 self.shared.ec.notify_all();
                             }
                             got = Some(first);
@@ -646,6 +683,11 @@ impl RunCtx<'_> {
                     fruitless += 1;
                     if fruitless < SPIN_SWEEPS {
                         std::thread::yield_now();
+                    } else if self.me != 0 {
+                        // A helper never sleeps inside a run: nothing
+                        // is left to steal, so it leaves, and the
+                        // caller finishes without it.
+                        break 'run;
                     } else {
                         fruitless = 0;
                         let parked = self.shared.ec.park_if(|| {
@@ -664,7 +706,7 @@ impl RunCtx<'_> {
     }
 
     /// True when the run is over (all tasks done, aborted by a
-    /// sibling's panic, or cancelled).
+    /// participant's panic, or cancelled).
     fn finished(&self) -> bool {
         self.shared.remaining.load(Ordering::Acquire) == 0
             || self.shared.panicked.load(Ordering::Relaxed)
@@ -674,44 +716,6 @@ impl RunCtx<'_> {
     /// Has this run's cancel token (if any) been set?
     fn cancelled(&self) -> bool {
         self.cmd.cancel.as_ref().is_some_and(|t| t.is_cancelled())
-    }
-
-    /// Seed this worker's own deque for the run. Every worker seeds
-    /// only itself, so no cross-thread deque hand-off exists; a worker
-    /// that races ahead simply finds deques empty and sweeps again.
-    fn seed(&self) {
-        let n = self.cmd.n;
-        let workers = self.shared.workers;
-        match (self.cmd.mode, self.cmd.granularity) {
-            // Work-pulling: everything starts on worker 0, as one
-            // range (split on demand) or as per-index unit ranges.
-            (Distribution::Steal, Granularity::LazySplit) => {
-                if self.me == 0 {
-                    self.local.push(Range32::new(0, n as u32));
-                }
-            }
-            (Distribution::Steal, Granularity::Fixed) => {
-                if self.me == 0 {
-                    self.local
-                        .push_iter((0..n as u32).map(|i| Range32::new(i, i + 1)));
-                }
-            }
-            // Static pushing: each worker takes its share up front and
-            // never steals.
-            (Distribution::Push, Granularity::LazySplit) => {
-                let (lo, hi) = block_share(n, workers, self.me);
-                if lo < hi {
-                    self.local.push(Range32::new(lo, hi));
-                }
-            }
-            (Distribution::Push, Granularity::Fixed) => {
-                self.local.push_iter(
-                    (self.me..n as usize)
-                        .step_by(workers)
-                        .map(|i| Range32::new(i as u32, i as u32 + 1)),
-                );
-            }
-        }
     }
 
     /// Execute a range: sequentially from the low end, splitting the
@@ -749,7 +753,7 @@ impl RunCtx<'_> {
             }
             lo += 1;
             if self.shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Last task of the run: release every parked worker.
+                // Last task of the run: wake the caller if it sleeps.
                 self.shared.ec.notify_all();
             }
         }
@@ -765,6 +769,7 @@ impl RunCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     struct Squares(usize);
 
@@ -778,38 +783,16 @@ mod tests {
         }
     }
 
-    #[test]
-    fn only_a_wide_long_run_with_an_idle_worker_counts_as_starved() {
-        let wide = STARVED_MIN_TASKS_PER_WORKER * 2;
-        let long = STARVED_MIN_WALL;
-        assert!(starved(wide, long, &[wide as u64, 0]));
-        // Everyone got a share, however uneven.
-        assert!(!starved(wide, long, &[wide as u64 - 1, 1]));
-        // Too narrow or too short for a late worker to prove anything.
-        assert!(!starved(wide - 1, long, &[wide as u64 - 1, 0]));
-        assert!(!starved(
-            wide,
-            long - Duration::from_nanos(1),
-            &[wide as u64, 0]
-        ));
-    }
-
-    #[test]
-    fn a_run_that_re_spreads_the_workers_first_runs_as_any_other() {
-        let mut pool = Pool::new(&NativeConfig::steal(2));
-        pool.respread = true;
-        let out = pool.try_execute(&Squares(100)).unwrap();
-        assert_eq!(out.values, (0..100u64).map(|i| i * i).collect::<Vec<_>>());
-        assert!(!pool.respread, "asked of one run only");
-    }
-
     /// Jobs longer than the per-run cap (u32::MAX in production,
     /// shrunk here) run as consecutive chunks: every task exactly
     /// once, results in order, counters summed — never a silent
     /// index truncation.
     #[test]
     fn long_jobs_run_in_chunks_without_truncation() {
-        for cfg in [NativeConfig::steal(3), NativeConfig::push(3)] {
+        for cfg in [
+            NativeConfig::steal(3),
+            NativeConfig::steal(3).with_granularity(Granularity::Fixed),
+        ] {
             let mut pool = Pool::new(&cfg);
             pool.set_run_cap_for_tests(10);
             let out = pool.try_execute(&Squares(25)).unwrap();
@@ -821,9 +804,10 @@ mod tests {
         }
     }
 
-    /// Chunked runs trace like any other: one RunStart per worker per
-    /// chunk, task events reconciling with the merged counters, and a
-    /// single monotone time axis across chunks (they share the run's
+    /// Chunked runs trace like any other: the caller's row records one
+    /// RunStart per chunk, a helper's row at most one (only for a chunk
+    /// it took a seat in), task events reconcile with the merged
+    /// counters, and all chunks share one monotone time axis (the run's
     /// WallClock epoch).
     #[test]
     fn chunked_runs_trace_and_reconcile() {
@@ -835,16 +819,184 @@ mod tests {
         let trace = out.trace.as_ref().expect("traced run returns a tracer");
         let c = rph_trace::Counters::from_tracer(trace);
         assert_eq!(c.native_tasks, 25);
-        // 25 tasks / cap 10 = 3 chunks × 2 workers.
-        assert_eq!(c.native_runs, 6);
+        // 25 tasks / cap 10 = 3 chunks.
+        let runs = |cap| rph_trace::Counters::for_cap(trace, CapId(cap)).native_runs;
+        assert_eq!(runs(0), 3);
+        assert!(runs(1) <= 3);
         for cap in 0..2 {
             let pc = rph_trace::Counters::for_cap(trace, CapId(cap));
             assert_eq!(pc.native_tasks, out.stats.per_worker[cap as usize]);
+            assert!(pc.native_tasks == 0 || pc.native_runs > 0);
         }
         // merged() would panic in debug if per-cap times regressed
         // across chunk boundaries; assert order explicitly anyway.
         let merged = trace.merged();
         assert!(merged.windows(2).all(|w| w[0].time <= w[1].time));
+    }
+
+    /// A one-task run is a function call: no helper is invited, so no
+    /// helper row records anything.
+    #[test]
+    fn one_unit_run_joins_no_helper() {
+        let mut pool = Pool::new(&NativeConfig::steal(4).with_trace());
+        for _ in 0..100 {
+            let out = pool.try_execute(&Squares(1)).unwrap();
+            assert_eq!(out.values, vec![0]);
+            assert_eq!(out.stats.per_worker, vec![1, 0, 0, 0]);
+            let trace = out.trace.as_ref().unwrap();
+            assert_eq!(rph_trace::Counters::from_tracer(trace).native_runs, 1);
+            assert!((1..4).all(|cap| trace.events_for(CapId(cap)).is_empty()));
+        }
+    }
+
+    /// Which threads ran a job's tasks.
+    struct Threads(usize, Mutex<Vec<std::thread::ThreadId>>);
+
+    impl Job for Threads {
+        type Out = ();
+        fn len(&self) -> usize {
+            self.0
+        }
+        fn run(&self, _: usize) {
+            lock(&self.1).push(std::thread::current().id());
+        }
+    }
+
+    #[test]
+    fn steal_1_spawns_no_thread() {
+        let mut pool = Pool::new(&NativeConfig::steal(1));
+        assert!(pool.helpers.is_empty());
+        let job = Threads(50, Mutex::new(Vec::new()));
+        pool.try_execute(&job).unwrap();
+        let me = std::thread::current().id();
+        assert!(lock(&job.1).iter().all(|&t| t == me));
+    }
+
+    /// Counts `run` calls in flight and in total across many runs.
+    struct Tally<'a> {
+        n: usize,
+        in_flight: &'a AtomicUsize,
+        executed: &'a AtomicUsize,
+    }
+
+    impl Job for Tally<'_> {
+        type Out = usize;
+        fn len(&self) -> usize {
+            self.n
+        }
+        fn run(&self, idx: usize) -> usize {
+            self.in_flight.fetch_add(1, Ordering::SeqCst);
+            self.executed.fetch_add(1, Ordering::SeqCst);
+            std::hint::black_box(idx);
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            idx
+        }
+    }
+
+    /// The erased runner borrow ends when `try_execute` returns: across
+    /// thousands of runs of every width from 0 to 3·W tasks, no task is
+    /// in flight at any return and none runs afterwards (the running
+    /// total matches at every return), every task runs exactly once
+    /// (the write-once slots panic otherwise), and results stay in
+    /// order.
+    #[test]
+    fn no_task_outlives_its_run() {
+        let in_flight = AtomicUsize::new(0);
+        let executed = AtomicUsize::new(0);
+        let mut total = 0;
+        for workers in [2usize, 3, 4] {
+            let mut pool = Pool::new(&NativeConfig::steal(workers));
+            for round in 0..3400 {
+                let n = round % (3 * workers + 1);
+                let job = Tally {
+                    n,
+                    in_flight: &in_flight,
+                    executed: &executed,
+                };
+                let out = pool.try_execute(&job).unwrap();
+                total += n;
+                assert_eq!(in_flight.load(Ordering::SeqCst), 0, "W={workers} n={n}");
+                assert_eq!(executed.load(Ordering::SeqCst), total, "W={workers} n={n}");
+                assert_eq!(out.values, (0..n).collect::<Vec<_>>());
+            }
+        }
+    }
+
+    enum Fault {
+        Panic,
+        Cancel(CancelToken),
+    }
+
+    /// A fault raised by a task on the calling thread. Tasks on helpers
+    /// wait until the caller has started one, so the caller always
+    /// runs a task whoever steals what.
+    struct CallerFault {
+        n: usize,
+        caller: std::thread::ThreadId,
+        caller_ran: AtomicBool,
+        fault: Fault,
+    }
+
+    impl CallerFault {
+        fn new(n: usize, fault: Fault) -> Self {
+            CallerFault {
+                n,
+                caller: std::thread::current().id(),
+                caller_ran: AtomicBool::new(false),
+                fault,
+            }
+        }
+    }
+
+    impl Job for CallerFault {
+        type Out = u64;
+        fn len(&self) -> usize {
+            self.n
+        }
+        fn run(&self, idx: usize) -> u64 {
+            if std::thread::current().id() == self.caller {
+                self.caller_ran.store(true, Ordering::SeqCst);
+                match &self.fault {
+                    Fault::Panic => panic!("caller task {idx}"),
+                    Fault::Cancel(token) => token.cancel(),
+                }
+            } else {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !self.caller_ran.load(Ordering::SeqCst) {
+                    assert!(Instant::now() < deadline, "the caller never ran a task");
+                    std::hint::spin_loop();
+                }
+            }
+            idx as u64
+        }
+    }
+
+    /// A panic raised in the caller's own task ends the run with `Err`
+    /// like one raised on a helper, and the pool, helpers included,
+    /// keeps serving.
+    #[test]
+    fn a_panic_in_the_callers_own_task_surfaces_and_the_pool_keeps_serving() {
+        for (workers, n) in [(4, 1), (2, 4)] {
+            let mut pool = Pool::new(&NativeConfig::steal(workers));
+            let err = pool.try_execute(&CallerFault::new(n, Fault::Panic));
+            assert!(err.is_err(), "W={workers} n={n}");
+            let out = pool.try_execute(&Squares(64)).unwrap();
+            assert_eq!(out.values, (0..64u64).map(|i| i * i).collect::<Vec<_>>());
+        }
+    }
+
+    /// Likewise a cancel raised in the caller's own task.
+    #[test]
+    fn a_cancel_in_the_callers_own_task_surfaces_and_the_pool_keeps_serving() {
+        for (workers, n) in [(4, 1), (2, 4)] {
+            let mut pool = Pool::new(&NativeConfig::steal(workers));
+            let token = CancelToken::new();
+            let job = CallerFault::new(n, Fault::Cancel(token.clone()));
+            let err = pool.try_execute_cancellable(&job, &token);
+            assert_eq!(err.unwrap_err(), RunError::Cancelled, "W={workers} n={n}");
+            let out = pool.try_execute(&Squares(64)).unwrap();
+            assert_eq!(out.values, (0..64u64).map(|i| i * i).collect::<Vec<_>>());
+        }
     }
 
     /// The PR 6 bugfix contract: a panicking job surfaces as an error

@@ -36,10 +36,19 @@ use crate::eden::{drain_results, empty_outcome, finish_run, Endpoint, PeReport, 
 use crate::error::EdenIncomplete;
 use crate::executor::{Job, NativeConfig, NativeOutcome};
 use crate::park::EventCount;
-use crate::pool::block_share;
 use crate::trace::NEventKind;
 use rph_trace::WallClock;
 use std::sync::Arc;
+
+/// PE `worker`'s contiguous share of `[0, n)` under static block
+/// partitioning: a PE's rows in [`ring`], its tasks in
+/// [`par_map_reduce`].
+fn block_share(n: u64, workers: usize, worker: usize) -> (u32, u32) {
+    let w = workers as u64;
+    let lo = (n * worker as u64 / w) as u32;
+    let hi = (n * (worker as u64 + 1) / w) as u32;
+    (lo, hi)
+}
 
 /// Which farm skeleton a flat [`Job`] should run under on the Eden
 /// backend. (The [`ring`] skeleton is not a farm — it needs the

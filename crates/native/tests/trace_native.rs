@@ -11,8 +11,8 @@
 //! schedules wherever the schedule is deterministic.
 
 use rph_native::{execute, Granularity, Job, NativeConfig};
-use rph_trace::{CapId, Counters, State, Timeline};
-use std::sync::atomic::{AtomicU64, Ordering};
+use rph_trace::{CapId, Counters, EventKind, State, Timeline, Tracer};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 struct Squares(usize);
@@ -49,23 +49,20 @@ impl Job for Crunch {
     }
 }
 
-/// Configs whose schedule is fully deterministic: static pushing never
-/// steals or parks, and a lone stealer has no victims.
-fn deterministic_configs() -> Vec<NativeConfig> {
-    let mut cfgs = Vec::new();
+/// Runs whose schedule is fully deterministic: a lone participant has
+/// no victims, and a one-task run invites no helper.
+fn deterministic_runs() -> Vec<(Squares, NativeConfig)> {
+    let mut runs = Vec::new();
     for g in [Granularity::Fixed, Granularity::LazySplit] {
-        for w in [1, 2, 4] {
-            cfgs.push(NativeConfig::push(w).with_granularity(g));
-        }
-        cfgs.push(NativeConfig::steal(1).with_granularity(g));
+        runs.push((Squares(500), NativeConfig::steal(1).with_granularity(g)));
+        runs.push((Squares(1), NativeConfig::steal(4).with_granularity(g)));
     }
-    cfgs
+    runs
 }
 
 #[test]
 fn tracing_is_a_pure_observer_results_identical() {
-    let job = Squares(500);
-    for base in deterministic_configs() {
+    for (job, base) in deterministic_runs() {
         let plain = execute(&job, &base);
         let traced = execute(&job, &base.clone().with_trace());
         assert_eq!(plain.values, traced.values, "{base:?}");
@@ -75,6 +72,7 @@ fn tracing_is_a_pure_observer_results_identical() {
         assert!(traced.trace.is_some());
         assert_eq!(traced.trace_dropped, 0, "{base:?}");
     }
+    let job = Squares(500);
     // Multi-worker stealing schedules are nondeterministic; results
     // and structural invariants must still be untouched by tracing.
     for w in [2, 4] {
@@ -89,6 +87,40 @@ fn tracing_is_a_pure_observer_results_identical() {
                 out.stats.tasks_run
             );
             assert_eq!(out.stats.per_worker.iter().sum::<u64>(), 500);
+        }
+    }
+}
+
+/// The seat protocol as the trace shows it, for one traced run: the
+/// caller's row (0) brackets the run with one RunStart/RunEnd; a
+/// helper's row holds one such bracket if the helper took a seat and
+/// nothing otherwise; and only the caller ever parks.
+fn assert_seats(trace: &Tracer) {
+    for cap in 0..trace.caps() {
+        let kinds: Vec<&EventKind> = trace
+            .events_for(CapId(cap as u32))
+            .iter()
+            .map(|e| &e.kind)
+            .filter(|k| !matches!(k, EventKind::StateChange { .. }))
+            .collect();
+        if cap > 0 && kinds.is_empty() {
+            continue;
+        }
+        assert!(
+            matches!(kinds.first(), Some(EventKind::RunStart { .. })),
+            "row {cap} does not open with its seat: {kinds:?}"
+        );
+        assert!(matches!(kinds.last(), Some(EventKind::RunEnd)), "row {cap}");
+        let starts = kinds
+            .iter()
+            .filter(|k| matches!(k, EventKind::RunStart { .. }))
+            .count();
+        assert_eq!(starts, 1, "row {cap}: one seat per run");
+        if cap > 0 {
+            assert!(
+                !kinds.iter().any(|k| matches!(k, EventKind::NativePark)),
+                "helper {cap} parked inside a run"
+            );
         }
     }
 }
@@ -125,7 +157,7 @@ fn events_reconcile_with_counters_under_steal_stress() {
             assert_eq!(c.native_steal_empties, s.steal_empties, "{cfg:?}");
             assert_eq!(c.native_splits, s.splits, "{cfg:?}");
             assert_eq!(c.native_parks, s.parks, "{cfg:?}");
-            assert_eq!(c.native_runs, workers as u64, "{cfg:?}");
+            assert_seats(trace);
 
             // Per-worker attribution: each capability's executed-task
             // events must sum to that worker's per_worker count.
@@ -149,68 +181,61 @@ fn events_reconcile_with_counters_under_steal_stress() {
     }
 }
 
-/// One task blocks the run open; the other workers go idle for much
-/// longer than the 10 ms park timeout. Each contiguous idle episode
-/// must count ONE park, however many timeout wakeups it spans — the
-/// pre-fix counting inflated `parks` by roughly hold-time / 10 ms.
-struct OneLong {
-    others_done: AtomicU64,
+/// The first task a helper runs holds the run open for much longer
+/// than the 10 ms park timeout; every task on the calling thread waits
+/// until that hold has begun, so the hold never lands on the caller.
+struct HelperHolds {
+    caller: std::thread::ThreadId,
+    held: AtomicBool,
     hold: Duration,
 }
 
-impl Job for OneLong {
+impl Job for HelperHolds {
     type Out = u64;
     fn len(&self) -> usize {
         4
     }
     fn run(&self, idx: usize) -> u64 {
-        if idx == 0 {
+        if std::thread::current().id() == self.caller {
             let deadline = Instant::now() + Duration::from_secs(10);
-            while self.others_done.load(Ordering::Acquire) < 2 {
+            while !self.held.load(Ordering::Acquire) {
                 assert!(Instant::now() < deadline, "helpers never ran");
                 std::hint::spin_loop();
             }
+        } else if !self.held.swap(true, Ordering::AcqRel) {
             let until = Instant::now() + self.hold;
             while Instant::now() < until {
                 std::hint::spin_loop();
             }
-        } else {
-            self.others_done.fetch_add(1, Ordering::Release);
         }
         idx as u64
     }
 }
 
+/// The idle helpers leave instead of parking, so the caller is the one
+/// idle participant left, and its one idle episode counts ONE park
+/// however many timeout wakeups it spans — the pre-fix counting
+/// inflated `parks` by roughly hold-time / 10 ms.
 #[test]
 fn parks_count_idle_episodes_not_timeout_wakeups() {
-    let workers = 4;
-    let hold = Duration::from_millis(150);
-    let job = OneLong {
-        others_done: AtomicU64::new(0),
-        hold,
+    let job = HelperHolds {
+        caller: std::thread::current().id(),
+        held: AtomicBool::new(false),
+        hold: Duration::from_millis(150),
     };
-    let out = execute(&job, &NativeConfig::steal(workers).with_trace());
+    let out = execute(&job, &NativeConfig::steal(4).with_trace());
     assert_eq!(out.values, vec![0, 1, 2, 3]);
-    assert!(
-        out.stats.parks >= 1,
-        "idle workers should park during the hold: {:?}",
-        out.stats
-    );
-    // Three workers idle through one ~150 ms episode each; a handful
-    // of extra episodes can occur around run start/steal hand-offs,
-    // but timeout-recounting would push this to ~15 per idle worker.
-    assert!(
-        out.stats.parks <= 2 * workers as u64,
-        "parks look timeout-counted, not episode-counted: {:?}",
-        out.stats
-    );
-    // And the trace agrees with the (correct) counter.
+    assert_eq!(out.stats.parks, 1, "{:?}", out.stats);
+    // And the trace agrees with the (correct) counter: one park, on the
+    // caller's row.
     let trace = out.trace.as_ref().unwrap();
+    assert_seats(trace);
     let c = Counters::from_tracer(trace);
-    assert_eq!(c.native_parks, out.stats.parks);
+    assert_eq!(c.native_parks, 1);
+    assert_eq!(Counters::for_cap(trace, CapId(0)).native_parks, 1);
     assert!(
         c.native_unparks <= c.native_parks,
-        "a worker can only unpark out of an episode it parked in: {c:?}"
+        "a participant can only unpark out of an episode it parked in: {c:?}"
     );
     assert_eq!(out.trace_dropped, 0);
 }

@@ -5,7 +5,11 @@
 //! [`Pool`] for the steal backend; per-batch skeleton instantiation
 //! for the Eden backend) and loops: assemble a batch from the tenant
 //! queues under deficit-round-robin, run it as a single native job,
-//! resolve every member job's [`JobHandle`]. Admission control is a
+//! resolve every member job's [`JobHandle`]. On the steal backend the
+//! dispatcher is itself participant 0 of each batch's pool run: it
+//! starts on the batch at once and wakes a pool thread only for a
+//! batch of more than one unit, so a one-unit batch runs on the
+//! dispatcher with no wake-up at all. Admission control is a
 //! high-water mark in *units*: a submission that would push the queued
 //! backlog past [`ServerConfig::queue_cap_units`] is rejected
 //! immediately with [`SubmitError::Backpressure`] — callers shed load

@@ -31,8 +31,8 @@
 //!
 //! Results are combined on the calling thread in task-index order, so
 //! every value is bit-identical to the corresponding simulator
-//! checksum regardless of worker count, backend, distribution policy
-//! or skeleton: the workload inputs are small integers, all f64
+//! checksum regardless of worker count, backend, granularity or
+//! skeleton: the workload inputs are small integers, all f64
 //! arithmetic on them is exact, and integer sums are
 //! order-independent. The differential tests in
 //! `tests/integration.rs` assert exactly this, three ways (sim Eden
@@ -627,7 +627,6 @@ mod tests {
         for w in [1usize, 2, 3, 4, 5, 8] {
             for g in [Granularity::LazySplit, Granularity::Fixed] {
                 out.push(NativeConfig::steal(w).with_granularity(g));
-                out.push(NativeConfig::push(w).with_granularity(g));
             }
         }
         out
@@ -789,7 +788,9 @@ mod tests {
         let w = MatMul::new(32, 4);
         for cfg in [
             NativeConfig::steal(1).with_seed(42),
-            NativeConfig::push(1).with_seed(42),
+            NativeConfig::steal(1)
+                .with_seed(42)
+                .with_granularity(Granularity::Fixed),
         ] {
             let a = w.run_on(&cfg).unwrap();
             let b = w.run_on(&cfg).unwrap();
@@ -824,7 +825,7 @@ mod tests {
     fn apsp_pooled_and_respawn_agree_with_oracle() {
         let w = Apsp::new(16);
         let expect = w.expected();
-        for cfg in [NativeConfig::steal(3), NativeConfig::push(4)] {
+        for cfg in [NativeConfig::steal(3), NativeConfig::steal(4)] {
             let pooled = w.run_on(&cfg).unwrap();
             let respawn = w.run_native_respawn(&cfg).unwrap();
             assert_eq!(pooled.value, expect, "{cfg:?}");

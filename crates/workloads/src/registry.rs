@@ -1,8 +1,8 @@
 //! # The workload registry — one list, every harness
 //!
-//! No native harness (`fig3_native_speedup`, `trace_native`, the repo
-//! benchmark, the integration suites) carries a workload table of its
-//! own: [`registry`] returns the full boxed set at one of three
+//! No native harness (`trace_native`, the repo benchmark, the
+//! integration suites) carries a workload table of its own:
+//! [`registry`] returns the full boxed set at one of three
 //! [`Scale`]s, and each workload carries its own
 //! [`NativeWorkload::name`] and [`NativeWorkload::default_params`] so
 //! the harnesses need no side-band strings.
