@@ -116,11 +116,11 @@ fn main() {
         yes(eden17 < eden9)
     );
 
-    let mut csv = String::from("config,elapsed_units\n");
+    let mut csv = TextTable::new(&["config", "elapsed_units"]);
     for (l, t) in &times {
-        csv.push_str(&format!("{l},{t}\n"));
+        csv.row(&[l.clone(), t.to_string()]);
     }
-    write_artifact("fig4_matmul_traces.csv", &csv);
+    write_artifact("fig4_matmul_traces.csv", &csv.to_csv());
 }
 
 fn yes(b: bool) -> &'static str {

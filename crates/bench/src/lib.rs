@@ -17,7 +17,6 @@
 //! | heap organisation: stop-the-world → per-capability nurseries | `alloc_area_ablation` |
 //! | §VI — scaling beyond 16 cores | `future_manycore` |
 //! | native wall-clock traces + overhead report | `trace_native` |
-//! | native scheduling ablations (granularity, pool reuse, victim choice) | `granularity_ablation` |
 //! | §V oversubscription + cluster topology ablation | `oversub_sweep` |
 //!
 //! Every binary accepts `--quick` for a reduced problem size (used by
@@ -30,7 +29,6 @@
 //! `benchmark/README.md`), and no number printed here is a perf
 //! baseline.
 
-pub mod granularity;
 pub mod oracles;
 
 use rph::prelude::*;

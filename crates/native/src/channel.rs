@@ -126,7 +126,7 @@ impl<T: Wordsize> Packet<T> {
 
 /// Why a [`Sender::try_send`] could not deliver; the value comes back.
 #[derive(Debug)]
-pub enum TrySendError<T> {
+pub(crate) enum TrySendError<T> {
     /// Buffer at capacity — blocking [`Sender::send`] would wait.
     Full(T),
     /// Receiver dropped — nothing will ever drain this channel.
@@ -210,7 +210,7 @@ pub(crate) fn bounded_with_notify<T>(
 
 impl<T> Sender<T> {
     /// Deliver `value` without blocking, or report why not.
-    pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+    pub(crate) fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
         let mut s = self.chan.lock();
         if !s.rx_alive {
             return Err(TrySendError::Disconnected(value));
@@ -261,7 +261,7 @@ impl<T> Drop for Sender<T> {
 
 impl<T> Receiver<T> {
     /// Take the next message without blocking, if one is buffered.
-    pub fn try_recv(&self) -> Option<T> {
+    pub(crate) fn try_recv(&self) -> Option<T> {
         let mut s = self.chan.lock();
         let v = s.buf.pop_front();
         if v.is_some() {
@@ -297,7 +297,7 @@ impl<T> Receiver<T> {
     /// stream has ended — i.e. polling this channel would make
     /// progress. A multiplexing consumer parks only while every
     /// channel reports false.
-    pub fn poll_ready(&self) -> bool {
+    pub(crate) fn poll_ready(&self) -> bool {
         let s = self.chan.lock();
         !s.buf.is_empty() || !s.tx_alive
     }
@@ -305,7 +305,7 @@ impl<T> Receiver<T> {
     /// True once the sender is gone. Messages may still be buffered;
     /// after a true reading, a `try_recv` drain is exhaustive (nothing
     /// new can arrive).
-    pub fn is_closed(&self) -> bool {
+    pub(crate) fn is_closed(&self) -> bool {
         !self.chan.lock().tx_alive
     }
 }

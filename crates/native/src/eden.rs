@@ -34,68 +34,40 @@ use std::time::Duration;
 #[derive(Debug, Default, Clone)]
 pub(crate) struct PeStats {
     /// Tasks (or row updates) this PE executed.
-    pub ran: u64,
-    pub msgs_sent: u64,
-    pub msgs_recv: u64,
-    pub words_sent: u64,
-    /// The subset of `words_sent` whose packets crossed a shard
-    /// boundary (the master counts as shard 0 — it runs on the
-    /// caller's thread). Zero on a flat (single-shard) run.
-    pub remote_words: u64,
-    pub send_blocks: u64,
-    pub recv_blocks: u64,
+    pub(crate) ran: u64,
+    pub(crate) msgs_sent: u64,
+    pub(crate) msgs_recv: u64,
+    pub(crate) words_sent: u64,
+    pub(crate) send_blocks: u64,
+    pub(crate) recv_blocks: u64,
 }
 
 /// One thread's recording context: trace buffer plus counters, with
 /// channel helpers that keep the two consistent.
 pub(crate) struct Endpoint {
-    pub tbuf: TraceBuf,
-    pub stats: PeStats,
-    /// This endpoint's PE id (`workers` for the master).
-    me: u32,
-    /// PEs per shard under the configured topology; `workers` when
-    /// the run is flat, so every packet is shard-local.
-    per_shard: u32,
-    workers: u32,
+    pub(crate) tbuf: TraceBuf,
+    pub(crate) stats: PeStats,
 }
 
 impl Endpoint {
-    pub fn new(cfg: &NativeConfig, clock: WallClock, me: u32) -> Self {
+    pub(crate) fn new(cfg: &NativeConfig, clock: WallClock) -> Self {
         let mut tbuf = TraceBuf::new(cfg.trace, cfg.trace_cap);
         tbuf.begin_run(clock);
-        let workers = cfg.workers.max(1);
         Endpoint {
             tbuf,
             stats: PeStats::default(),
-            me,
-            per_shard: (workers / cfg.shards.max(1)) as u32,
-            workers: workers as u32,
-        }
-    }
-
-    /// Which shard `id` lives in. The master (`id == workers`) runs on
-    /// the caller's thread and counts as shard 0, so farm traffic to
-    /// and from PEs outside shard 0 is inter-shard.
-    fn shard_of(&self, id: u32) -> u32 {
-        if id >= self.workers {
-            0
-        } else {
-            id / self.per_shard
         }
     }
 
     /// Book-keep a packet that was (already) delivered to PE `to`.
-    pub fn note_sent(&mut self, to: u32, words: u64, tag: &'static str) {
+    pub(crate) fn note_sent(&mut self, to: u32, words: u64, tag: &'static str) {
         self.stats.msgs_sent += 1;
         self.stats.words_sent += words;
-        if self.shard_of(to) != self.shard_of(self.me) {
-            self.stats.remote_words += words;
-        }
         self.tbuf.record(NEventKind::MsgSend { to, words, tag });
     }
 
     /// Book-keep a packet received from PE `from`.
-    pub fn note_recv(&mut self, from: u32, words: u64, tag: &'static str) {
+    pub(crate) fn note_recv(&mut self, from: u32, words: u64, tag: &'static str) {
         self.stats.msgs_recv += 1;
         self.tbuf.record(NEventKind::MsgRecv { from, words, tag });
     }
@@ -104,7 +76,7 @@ impl Endpoint {
     /// as a `BlockSend` episode). Returns false if the receiving end
     /// is gone — which means the peer panicked; callers stop sending
     /// and let the join propagate the panic.
-    pub fn send<T>(
+    pub(crate) fn send<T>(
         &mut self,
         tx: &Sender<Packet<T>>,
         to: u32,
@@ -133,7 +105,7 @@ impl Endpoint {
     /// Receive the next packet from PE `from`, blocking on an empty
     /// channel (recorded as a `BlockRecv` episode). `None` is end of
     /// stream.
-    pub fn recv<T>(
+    pub(crate) fn recv<T>(
         &mut self,
         rx: &Receiver<Packet<T>>,
         from: u32,
@@ -162,7 +134,7 @@ impl Endpoint {
     }
 
     /// Flush this endpoint's records for assembly.
-    pub fn finish(mut self) -> PeReport {
+    pub(crate) fn finish(mut self) -> PeReport {
         let mut events = Vec::new();
         let dropped = self.tbuf.flush_into(&mut events);
         PeReport {
@@ -175,9 +147,9 @@ impl Endpoint {
 
 /// What one endpoint contributes to the run outcome.
 pub(crate) struct PeReport {
-    pub stats: PeStats,
-    pub events: Vec<NEvent>,
-    pub dropped: u64,
+    pub(crate) stats: PeStats,
+    pub(crate) events: Vec<NEvent>,
+    pub(crate) dropped: u64,
 }
 
 /// Fold per-PE reports (+ the master's) into the same
@@ -204,7 +176,6 @@ pub(crate) fn assemble<T>(
         stats.msgs_sent += rep.stats.msgs_sent;
         stats.msgs_recv += rep.stats.msgs_recv;
         stats.words_sent += rep.stats.words_sent;
-        stats.remote_words += rep.stats.remote_words;
         stats.send_blocks += rep.stats.send_blocks;
         stats.recv_blocks += rep.stats.recv_blocks;
         trace_dropped += rep.dropped;

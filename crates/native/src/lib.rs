@@ -14,7 +14,7 @@
 //!   fully-evaluated result. There is no shared mutable graph heap —
 //!   like Eden processes, workers "communicate only WHNF data", here
 //!   by writing each task's result into its slot of a shared
-//!   [`ResultHeap`] exactly once.
+//!   result heap exactly once.
 //! * A [`Pool`] spawns its helper threads **once** and accepts
 //!   repeated [`Pool::try_execute`] calls — wave-structured workloads
 //!   (APSP's n pivot waves) reuse the same threads instead of paying n
@@ -26,17 +26,14 @@
 //! * Each participant owns a `chase_lev::Worker` deque of packed
 //!   `(lo, hi)` index ranges (`rph_deque::Range32`); every other
 //!   participant holds a `Stealer` handle onto it.
-//! * Work starts on the caller's deque and idle participants pull it
-//!   (the paper's work stealing); two granularity policies
-//!   ([`Granularity`]) put PR 1's fixed per-task dealing and the
-//!   adaptive **lazy range splitting** side by side: ranges execute
-//!   sequentially at the owner end and fission only under observed
-//!   thief demand.
+//! * Work starts on the caller's deque as one range and idle
+//!   participants pull it (the paper's work stealing), under
+//!   **lazy range splitting**: ranges execute sequentially at the
+//!   owner end and fission only under observed thief demand.
 //! * Thieves take up to half a victim's deque per probe
 //!   (`steal_batch_and_pop`), visiting victims in a **randomized
-//!   order** by default ([`StealPolicy`]: a per-worker xorshift
-//!   permutation per sweep, seeded from `NativeConfig::seed` so runs
-//!   replay identically; fixed round-robin kept as the ablation);
+//!   order**: a per-worker xorshift permutation per sweep, seeded from
+//!   `NativeConfig::seed` so runs replay identically;
 //!   idle helpers spin briefly, then leave the run, while an idle
 //!   caller **parks** on a Condvar-backed eventcount, woken by new
 //!   pushes or run completion. Hot shared words (deque `top`/`bottom`, park flags,
@@ -55,7 +52,7 @@
 //! differential tests (in `rph-workloads` and the top-level
 //! integration suite) assert that native results are bit-identical to
 //! `GphRuntime` results for every workload at 1, 2, 3, 4, 5 and 8
-//! workers, under both granularities.
+//! workers.
 
 //! ## The second native backend: Eden-style message passing
 //!
@@ -66,33 +63,32 @@
 //!   above ([`Pool`], [`execute`]).
 //! * [`BackendKind::Eden`] — one OS thread per PE with **private
 //!   working memory**, communicating only fully-evaluated [`Packet`]s
-//!   over bounded SPSC [`channel`]s, through the three [`skeletons`]
-//!   the paper's workloads need: [`skeletons::par_map`] (static
-//!   farm), [`skeletons::master_worker`] (demand-driven farm) and
-//!   [`skeletons::ring`] (wavefronts). Channel sends, receives and
+//!   over bounded SPSC channels ([`bounded`]), through the three
+//!   skeletons the paper's workloads need: [`par_map`] (static
+//!   farm), [`master_worker`] (demand-driven farm) and
+//!   [`ring`] (wavefronts). Channel sends, receives and
 //!   blocks land in the same wall-clock trace machinery, so Eden runs
 //!   render the same per-core timelines — now with message events.
 
 mod cancel;
-pub mod channel;
+mod channel;
 mod eden;
 mod error;
 mod executor;
 mod park;
 mod pool;
-pub mod skeletons;
+mod skeletons;
 mod trace;
 mod victim;
 
 pub use cancel::CancelToken;
-pub use channel::{bounded, Packet, Receiver, Sender, TrySendError, Wordsize};
+pub use channel::{bounded, Packet, Receiver, Sender, Wordsize};
 pub use error::{EdenIncomplete, JobPanicked, RunError};
 pub use executor::{
-    execute, try_execute, BackendKind, Granularity, Job, NativeConfig, NativeOutcome, NativeStats,
-    ResultHeap, StealPolicy, DEFAULT_CHAN_CAP, DEFAULT_TRACE_CAP,
+    execute, try_execute, BackendKind, Job, NativeConfig, NativeOutcome, NativeStats,
 };
 pub use pool::Pool;
 pub use skeletons::{
-    exchange, master_worker, par_map, par_map_reduce, ring, try_exchange, try_master_worker,
-    try_par_map, try_par_map_reduce, try_ring, ExchangeJob, RingJob, Skeleton,
+    exchange, master_worker, par_map, ring, try_exchange, try_par_map_reduce, try_ring,
+    ExchangeJob, RingJob, Skeleton,
 };

@@ -51,7 +51,7 @@ pub(crate) struct EventCount {
 }
 
 impl EventCount {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventCount {
             epoch: CachePadded::new(AtomicU64::new(0)),
             sleepers: CachePadded::new(AtomicU64::new(0)),
@@ -63,7 +63,7 @@ impl EventCount {
     /// Wake every parked worker, if any might be parked. Callers must
     /// already have made the wake-worthy state (a deque push, the
     /// completion flag) visible before calling.
-    pub fn notify_all(&self) {
+    pub(crate) fn notify_all(&self) {
         fence(Ordering::SeqCst);
         if self.sleepers.load(Ordering::Relaxed) == 0 {
             return;
@@ -86,7 +86,7 @@ impl EventCount {
     /// must count one park per *idle episode* — increment on the first
     /// true return and not again until work has actually been found
     /// (see `RunCtx::run` in `pool.rs`).
-    pub fn park_if(&self, still_idle: impl Fn() -> bool) -> bool {
+    pub(crate) fn park_if(&self, still_idle: impl Fn() -> bool) -> bool {
         let e = self.epoch.load(Ordering::Relaxed);
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);

@@ -13,7 +13,7 @@
 //!   function call that wakes nobody.
 //! * Tasks travel as packed `(lo, hi)` index ranges
 //!   ([`rph_deque::Range32`] — two `u32`s in the deque's `u64` slot).
-//! * **Lazy range splitting** ([`Granularity::LazySplit`]): a
+//! * **Lazy range splitting**: the run is seeded as one range, and a
 //!   participant executes its range sequentially from the low end, but
 //!   before each index checks whether its own deque has gone empty —
 //!   the signal that thieves are hungry — and if so pushes the upper
@@ -34,9 +34,7 @@
 
 use crate::cancel::CancelToken;
 use crate::error::{JobPanicked, RunError};
-use crate::executor::{
-    Granularity, Job, NativeConfig, NativeOutcome, NativeStats, ResultHeap, StealPolicy,
-};
+use crate::executor::{Job, NativeConfig, NativeOutcome, NativeStats, ResultHeap};
 use crate::park::EventCount;
 use crate::trace::{map_events, NEvent, NEventKind, TraceBuf};
 use crate::victim::VictimPicker;
@@ -51,6 +49,11 @@ use std::time::{Duration, Instant};
 /// Fruitless full sweeps over every victim before a helper leaves the
 /// run (or the caller parks).
 const SPIN_SWEEPS: usize = 64;
+
+/// Initial capacity of every participant's deque. A run is seeded as
+/// one range and fissions by halving, so a deque rarely holds more
+/// than a few dozen ranges; it grows on demand beyond this.
+const DEQUE_CAP: usize = 256;
 
 /// Most tasks a single run hands to the workers: range bounds must fit
 /// the packed `(lo, hi)` u32 halves of a deque element. Longer jobs
@@ -71,8 +74,8 @@ struct RunCmd {
     /// The run's shared time zero, so every participant's trace events
     /// and the caller's wall measurement agree.
     clock: WallClock,
-    /// Cooperative cancel flag for this run, polled at range
-    /// boundaries. `None` for uncancellable runs.
+    /// Cooperative cancel flag for this run, polled before every task.
+    /// `None` for uncancellable runs.
     cancel: Option<CancelToken>,
 }
 
@@ -87,9 +90,6 @@ struct WorkerStats {
     retries: u64,
     empties: u64,
     steal_ops: u64,
-    steal_local: u64,
-    steal_remote: u64,
-    remote_words: u64,
     batch_moved: u64,
     splits: u64,
     parks: u64,
@@ -142,13 +142,7 @@ struct Shared {
     stealers: Vec<Stealer<Range32>>,
     /// Participants per run: the caller plus the helper threads.
     workers: usize,
-    /// Participants per shard (pools-of-pools); `workers` when the pool
-    /// is flat. Participant `w` lives in shard `w / per_shard`; thieves
-    /// probe every shard-mate before any remote shard, and cross-shard
-    /// steals are counted separately.
-    per_shard: usize,
-    /// Victim-selection policy and seed, fixed at pool construction.
-    steal_policy: StealPolicy,
+    /// Victim-selection seed, fixed at pool construction.
     seed: u64,
     /// Wall-clock event tracing on/off and per-participant buffer size,
     /// fixed at pool construction.
@@ -189,7 +183,7 @@ impl Participant {
             me,
             local,
             tbuf: TraceBuf::new(shared.trace_on, shared.trace_cap),
-            picker: VictimPicker::new(shared.steal_policy, me, shared.workers, shared.per_shard),
+            picker: VictimPicker::new(me, shared.workers),
         }
     }
 
@@ -247,7 +241,6 @@ pub struct Pool {
     /// Participant 0: whichever thread calls `try_execute`.
     lead: Participant,
     helpers: Vec<std::thread::JoinHandle<()>>,
-    granularity: Granularity,
     /// Most tasks per run; `MAX_RUN_TASKS` except in tests, which
     /// shrink it to exercise the chunking path at sane job sizes.
     run_cap: usize,
@@ -255,19 +248,14 @@ pub struct Pool {
 
 impl Pool {
     /// Spawn `cfg.workers − 1` helper threads; every participant owns a
-    /// Chase–Lev deque of `cfg.deque_cap` initial slots (deques grow on
+    /// Chase–Lev deque of `DEQUE_CAP` initial slots (deques grow on
     /// demand).
     pub fn new(cfg: &NativeConfig) -> Pool {
         let workers = cfg.workers.max(1);
-        let shards = cfg.shards.max(1);
-        assert!(
-            workers.is_multiple_of(shards),
-            "shards ({shards}) must divide workers ({workers}) — use with_topology"
-        );
         let mut owners: Vec<Worker<Range32>> = Vec::with_capacity(workers);
         let mut stealers: Vec<Stealer<Range32>> = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (w, s) = chase_lev::new::<Range32>(cfg.deque_cap);
+            let (w, s) = chase_lev::new::<Range32>(DEQUE_CAP);
             owners.push(w);
             stealers.push(s);
         }
@@ -288,8 +276,6 @@ impl Pool {
             ec: EventCount::new(),
             stealers,
             workers,
-            per_shard: workers / shards,
-            steal_policy: cfg.steal_policy,
             seed: cfg.seed,
             trace_on: cfg.trace,
             trace_cap: cfg.trace_cap,
@@ -313,15 +299,8 @@ impl Pool {
             shared,
             lead,
             helpers,
-            granularity: cfg.granularity,
             run_cap: MAX_RUN_TASKS,
         }
-    }
-
-    /// Number of participants per run: the calling thread plus the
-    /// helper threads.
-    pub fn workers(&self) -> usize {
-        self.shared.workers
     }
 
     /// Shrink the per-run task cap so tests can drive the chunking
@@ -354,11 +333,10 @@ impl Pool {
     }
 
     /// [`Self::try_execute`] with a cooperative [`CancelToken`]:
-    /// participants poll the token at every range boundary (and the
-    /// parked caller within the 10 ms park safety timeout), so a
-    /// cancelled run winds down after at most one in-flight range per
-    /// participant and returns `Err(RunError::Cancelled)`, discarding
-    /// partial results.
+    /// participants poll the token before every task (and the parked
+    /// caller within the 10 ms park safety timeout), so a cancelled run
+    /// winds down after at most one in-flight task per participant and
+    /// returns `Err(RunError::Cancelled)`, discarding partial results.
     pub fn try_execute_cancellable<J: Job>(
         &mut self,
         job: &J,
@@ -419,15 +397,9 @@ impl Pool {
             };
             // Seed before inviting anyone, so no helper meets an
             // unseeded run: everything starts on the caller's deque, as
-            // one range (split on demand) or as per-index unit ranges.
+            // one range split on demand.
             self.lead.enter(&self.shared, &cmd);
-            match self.granularity {
-                Granularity::LazySplit => self.lead.local.push(Range32::new(0, count as u32)),
-                Granularity::Fixed => self
-                    .lead
-                    .local
-                    .push_iter((0..count as u32).map(|i| Range32::new(i, i + 1))),
-            }
+            self.lead.local.push(Range32::new(0, count as u32));
             let helpers = count.min(workers) - 1;
             if helpers > 0 {
                 let mut ctrl = lock(&self.shared.ctrl);
@@ -519,9 +491,6 @@ fn take_stats(slots: &mut [CachePadded<WorkerStats>]) -> NativeStats {
         out.steal_retries += s.retries;
         out.steal_empties += s.empties;
         out.steal_ops += s.steal_ops;
-        out.steal_local += s.steal_local;
-        out.steal_remote += s.steal_remote;
-        out.remote_words += s.remote_words;
         out.batch_moved += s.batch_moved;
         out.splits += s.splits;
         out.parks += s.parks;
@@ -584,9 +553,8 @@ impl RunCtx<'_> {
         let split = self.shared.workers > 1;
 
         'run: loop {
-            // Drain the local pool (owner end, LIFO). The cancel poll
-            // sits here, at the range boundary: a popped range runs to
-            // completion, the *next* pop observes the token.
+            // Drain the local pool (owner end, LIFO). A cancelled run
+            // stops here, or inside `process` before its next task.
             while let Some(r) = self.local.pop() {
                 if self.cancelled() {
                     break 'run;
@@ -613,9 +581,8 @@ impl RunCtx<'_> {
                 }
                 let mut contended = false;
                 let mut got = None;
-                // One sweep probes every other deque once; the *order*
-                // is the steal policy's choice (fixed round-robin, or
-                // a per-sweep random permutation — see `victim.rs`).
+                // One sweep probes every other deque once, in a fresh
+                // random order (see `victim.rs`).
                 for &victim in picker.sweep() {
                     let victim = victim as usize;
                     stats.probes += 1;
@@ -623,24 +590,10 @@ impl RunCtx<'_> {
                         BatchSteal::Success { first, moved } => {
                             stats.steal_ops += 1;
                             stats.batch_moved += moved as u64;
-                            let per_shard = self.shared.per_shard;
-                            if victim / per_shard == self.me / per_shard {
-                                stats.steal_local += 1;
-                                tbuf.record(NEventKind::StealOk {
-                                    victim: victim as u32,
-                                    moved: moved as u32,
-                                });
-                            } else {
-                                // Cross-shard transfer: the popped range
-                                // plus the batched extras, one packed
-                                // (lo, hi) word each.
-                                stats.steal_remote += 1;
-                                stats.remote_words += 1 + moved as u64;
-                                tbuf.record(NEventKind::StealOkRemote {
-                                    victim: victim as u32,
-                                    moved: moved as u32,
-                                });
-                            }
+                            tbuf.record(NEventKind::StealOk {
+                                victim: victim as u32,
+                                moved: moved as u32,
+                            });
                             if moved > 0 {
                                 // The transferred tail is stealable
                                 // from our deque now — tell the caller
@@ -718,10 +671,21 @@ impl RunCtx<'_> {
         self.cmd.cancel.as_ref().is_some_and(|t| t.is_cancelled())
     }
 
+    /// The per-task poll of a cancellable run: its token is set, or a
+    /// participant panicked. An uncancellable run pays one branch on
+    /// `None` and no atomic load.
+    fn aborted(&self) -> bool {
+        self.cmd
+            .cancel
+            .as_ref()
+            .is_some_and(|t| t.is_cancelled() || self.shared.panicked.load(Ordering::Relaxed))
+    }
+
     /// Execute a range: sequentially from the low end, splitting the
-    /// upper half off whenever the local deque runs dry (thief demand).
-    /// `stolen` records how the range was acquired, for the directly
-    /// counted `tasks_local`/`tasks_stolen` stats.
+    /// upper half off whenever the local deque runs dry (thief demand),
+    /// and stopping early if a cancellable run is aborted. `stolen`
+    /// records how the range was acquired, for the directly counted
+    /// `tasks_local`/`tasks_stolen` stats.
     fn process(
         &self,
         range: Range32,
@@ -736,6 +700,9 @@ impl RunCtx<'_> {
         tbuf.record(NEventKind::ExecStart);
         let first = lo;
         while lo < hi {
+            if self.aborted() {
+                break;
+            }
             if split && hi - lo > 1 && self.local.is_empty() {
                 let mid = lo + (hi - lo) / 2;
                 self.local.push(Range32::new(mid, hi));
@@ -758,7 +725,8 @@ impl RunCtx<'_> {
             }
         }
         // The whole executed span is contiguous: splits only ever push
-        // the *upper* half away, so this call ran exactly `first..lo`.
+        // the *upper* half away (and an abort drops the rest), so this
+        // call ran exactly `first..lo`.
         tbuf.record(NEventKind::ExecEnd {
             count: lo - first,
             stolen,
@@ -789,10 +757,7 @@ mod tests {
     /// index truncation.
     #[test]
     fn long_jobs_run_in_chunks_without_truncation() {
-        for cfg in [
-            NativeConfig::steal(3),
-            NativeConfig::steal(3).with_granularity(Granularity::Fixed),
-        ] {
+        for cfg in [1, 2, 3].map(NativeConfig::steal) {
             let mut pool = Pool::new(&cfg);
             pool.set_run_cap_for_tests(10);
             let out = pool.try_execute(&Squares(25)).unwrap();
@@ -800,7 +765,7 @@ mod tests {
             assert_eq!(out.values, expect, "{cfg:?}");
             assert_eq!(out.stats.tasks_run, 25, "{cfg:?}");
             assert_eq!(out.stats.per_worker.iter().sum::<u64>(), 25, "{cfg:?}");
-            assert_eq!(out.stats.per_worker.len(), 3, "{cfg:?}");
+            assert_eq!(out.stats.per_worker.len(), cfg.workers, "{cfg:?}");
         }
     }
 
@@ -1038,10 +1003,11 @@ mod tests {
         assert_eq!(out.unwrap().stats.tasks_run, 10);
     }
 
-    /// Cancellation is observed at range boundaries: with fixed
-    /// granularity every task is its own range, so once a task sets
-    /// the token, each worker finishes at most its in-flight range and
-    /// stops — far short of the full job.
+    /// Cancellation is observed before every task: once the first task
+    /// sets the token, each participant finishes at most the task in
+    /// flight and stops — far short of the full job, even at one
+    /// worker, where the caller's one seed range is the whole job and
+    /// is never split.
     #[test]
     fn cancel_mid_run_is_observed_within_a_range() {
         struct SelfCancelling {
@@ -1054,33 +1020,28 @@ mod tests {
                 4096
             }
             fn run(&self, idx: usize) -> u64 {
-                self.ran.fetch_add(1, Ordering::Relaxed);
-                // The owner pops the *top* index first (LIFO), a thief
-                // steals the *bottom* index first (FIFO end) — so the
-                // first task either thread executes sets the token.
-                if idx == 0 || idx == 4095 {
+                if self.ran.fetch_add(1, Ordering::Relaxed) == 0 {
                     self.token.cancel();
                 }
                 idx as u64
             }
         }
-        let mut pool = Pool::new(&NativeConfig::steal(2).with_granularity(Granularity::Fixed));
-        let job = SelfCancelling {
-            token: CancelToken::new(),
-            ran: AtomicU64::new(0),
-        };
-        let err = pool.try_execute_cancellable(&job, &job.token);
-        assert_eq!(err.unwrap_err(), RunError::Cancelled);
-        let ran = job.ran.load(Ordering::Relaxed);
-        // The first executed task set the token; each worker then
-        // finishes at most the range already in flight before its next
-        // pop observes it. Unit ranges → a handful of tasks, tops.
-        assert!(
-            ran < 64,
-            "cancellation not observed at range boundaries ({ran} tasks ran)"
-        );
-        // And the pool still serves the next run.
-        let out = pool.try_execute(&Squares(12)).unwrap();
-        assert_eq!(out.stats.tasks_run, 12);
+        for workers in [1, 2] {
+            let mut pool = Pool::new(&NativeConfig::steal(workers));
+            let job = SelfCancelling {
+                token: CancelToken::new(),
+                ran: AtomicU64::new(0),
+            };
+            let err = pool.try_execute_cancellable(&job, &job.token);
+            assert_eq!(err.unwrap_err(), RunError::Cancelled, "W={workers}");
+            let ran = job.ran.load(Ordering::Relaxed);
+            assert!(
+                ran < 64,
+                "W={workers}: cancellation not observed within a range ({ran} tasks ran)"
+            );
+            // And the pool still serves the next run.
+            let out = pool.try_execute(&Squares(12)).unwrap();
+            assert_eq!(out.stats.tasks_run, 12, "W={workers}");
+        }
     }
 }

@@ -53,9 +53,6 @@ pub(crate) enum NEventKind {
     ExecEnd { count: u32, stolen: bool },
     /// A steal from `victim` succeeded, batch-moving `moved` extras.
     StealOk { victim: u32, moved: u32 },
-    /// A steal from `victim` in a *different shard* succeeded —
-    /// hierarchical victim selection exhausted the local shard first.
-    StealOkRemote { victim: u32, moved: u32 },
     /// A steal from `victim` lost its CAS race.
     StealRetry { victim: u32 },
     /// `victim`'s deque was empty.
@@ -104,7 +101,7 @@ pub(crate) struct TraceBuf {
 impl TraceBuf {
     /// A buffer of `cap` slots, allocated up front; disabled buffers
     /// allocate nothing and never record.
-    pub fn new(on: bool, cap: usize) -> Self {
+    pub(crate) fn new(on: bool, cap: usize) -> Self {
         TraceBuf {
             on,
             clock: WallClock::start(),
@@ -116,13 +113,13 @@ impl TraceBuf {
 
     /// Adopt the run's shared epoch so all workers (and the run's wall
     /// measurement) stamp on the same zero.
-    pub fn begin_run(&mut self, clock: WallClock) {
+    pub(crate) fn begin_run(&mut self, clock: WallClock) {
         self.clock = clock;
     }
 
     /// Record `kind` now. The no-trace fast path is the first branch.
     #[inline]
-    pub fn record(&mut self, kind: NEventKind) {
+    pub(crate) fn record(&mut self, kind: NEventKind) {
         if !self.on {
             return;
         }
@@ -137,7 +134,7 @@ impl TraceBuf {
     /// Move this run's records into `out` (the coordinator's per-worker
     /// slot) and return how many events were dropped; resets the buffer
     /// for the next run without giving up its allocation.
-    pub fn flush_into(&mut self, out: &mut Vec<NEvent>) -> u64 {
+    pub(crate) fn flush_into(&mut self, out: &mut Vec<NEvent>) -> u64 {
         out.clear();
         out.extend_from_slice(&self.events);
         self.events.clear();
@@ -179,14 +176,6 @@ pub(crate) fn map_events(tracer: &mut Tracer, cap: CapId, events: &[NEvent]) {
                 cap,
                 t,
                 EventKind::NativeSteal {
-                    victim: victim(v),
-                    moved: moved as u64,
-                },
-            ),
-            NEventKind::StealOkRemote { victim: v, moved } => tracer.record(
-                cap,
-                t,
-                EventKind::NativeStealRemote {
                     victim: victim(v),
                     moved: moved as u64,
                 },
@@ -293,10 +282,6 @@ mod tests {
             victim: 1,
             moved: 3,
         });
-        b.record(NEventKind::StealOkRemote {
-            victim: 2,
-            moved: 4,
-        });
         b.record(NEventKind::ExecStart);
         b.record(NEventKind::Split { exposed: 2 });
         b.record(NEventKind::ExecEnd {
@@ -312,11 +297,8 @@ mod tests {
         map_events(&mut tracer, CapId(0), &out);
         let c = Counters::for_cap(&tracer, CapId(0));
         assert_eq!(c.native_runs, 1);
-        // The remote arm feeds the steal totals too, so reconciliation
-        // against `steal_ops` needs no topology awareness.
-        assert_eq!(c.native_steals, 2);
-        assert_eq!(c.native_remote_steals, 1);
-        assert_eq!(c.native_batch_moved, 7);
+        assert_eq!(c.native_steals, 1);
+        assert_eq!(c.native_batch_moved, 3);
         assert_eq!(c.native_steal_empties, 1);
         assert_eq!(c.native_splits, 1);
         assert_eq!(c.native_tasks, 6);

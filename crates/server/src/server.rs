@@ -84,15 +84,6 @@ impl ServerConfig {
         self.batch_max_units = units.max(1);
         self
     }
-
-    /// Shard the backend pool into `shards` × `per_shard` workers
-    /// (passthrough to [`NativeConfig::with_topology`]): thieves probe
-    /// their own shard first and batch cross-shard steals, surfaced in
-    /// the run stats as `steal_local`/`steal_remote`/`remote_words`.
-    pub fn with_topology(mut self, shards: usize, per_shard: usize) -> Self {
-        self.native = self.native.with_topology(shards, per_shard);
-        self
-    }
 }
 
 /// Why a submission was not accepted.
@@ -741,8 +732,11 @@ mod tests {
 
     #[test]
     fn jobs_resolve_with_correct_values_on_both_backends() {
-        for backend in [BackendKind::Steal, BackendKind::Eden] {
-            let native = NativeConfig::new(2).with_backend(backend);
+        for (workers, backend) in [2, 4]
+            .into_iter()
+            .flat_map(|w| [(w, BackendKind::Steal), (w, BackendKind::Eden)])
+        {
+            let native = NativeConfig::new(workers).with_backend(backend);
             let server = Server::start(ServerConfig::new(native));
             let classes = [
                 JobClass::SumEuler { n: 120, chunk: 8 },
@@ -758,35 +752,13 @@ mod tests {
                 .collect();
             for (h, c) in handles.iter().zip(&classes) {
                 let out = h.wait();
-                assert_eq!(out.status, JobStatus::Done, "{backend:?}");
-                assert_eq!(Some(out.value), c.expected(), "{backend:?}");
+                assert_eq!(out.status, JobStatus::Done, "W={workers} {backend:?}");
+                assert_eq!(Some(out.value), c.expected(), "W={workers} {backend:?}");
             }
             let report = server.shutdown();
-            assert_eq!(report.stats.done, 3, "{backend:?}");
+            assert_eq!(report.stats.done, 3, "W={workers} {backend:?}");
             assert_eq!(report.stats.queued_units, 0);
         }
-    }
-
-    /// The sharded pool behind the server is a scheduling change only:
-    /// job values and resolution are unaffected by the topology.
-    #[test]
-    fn sharded_pool_serves_jobs_identically() {
-        let server = Server::start(ServerConfig::new(NativeConfig::steal(4)).with_topology(2, 2));
-        let classes = [
-            JobClass::SumEuler { n: 120, chunk: 8 },
-            JobClass::SumEuler { n: 60, chunk: 4 },
-        ];
-        let handles: Vec<JobHandle> = classes
-            .iter()
-            .map(|&c| server.submit(0, c).expect("accepted"))
-            .collect();
-        for (h, c) in handles.iter().zip(&classes) {
-            let out = h.wait();
-            assert_eq!(out.status, JobStatus::Done);
-            assert_eq!(Some(out.value), c.expected());
-        }
-        let report = server.shutdown();
-        assert_eq!(report.stats.done, 2);
     }
 
     // -------------------------------------------- admission control (reject)

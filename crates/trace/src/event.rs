@@ -190,13 +190,7 @@ pub enum EventKind {
     RunEnd,
     /// A native steal from `victim` succeeded, batch-transferring
     /// `moved` extra deque elements beyond the one the thief runs.
-    /// Under a sharded pool this is the intra-shard case; cross-shard
-    /// steals emit [`EventKind::NativeStealRemote`].
     NativeSteal { victim: CapId, moved: u64 },
-    /// A native steal crossed a shard boundary (hierarchical victim
-    /// selection probed every local victim first): batch-transferred
-    /// `moved` extras beyond the one the thief runs.
-    NativeStealRemote { victim: CapId, moved: u64 },
     /// A native steal attempt lost a CAS race against `victim`.
     NativeStealRetry { victim: CapId },
     /// A native steal attempt found `victim`'s deque empty.

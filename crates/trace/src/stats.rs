@@ -41,11 +41,8 @@ pub struct Counters {
     // Native (wall-clock) executor events. These mirror the
     // `NativeStats` counters the executor maintains itself; the
     // reconciliation tests assert the two bookkeepings agree exactly.
-    /// Successful native steal operations (`NativeSteal` and
-    /// `NativeStealRemote` events).
+    /// Successful native steal operations (`NativeSteal` events).
     pub native_steals: u64,
-    /// The subset of `native_steals` that crossed a shard boundary.
-    pub native_remote_steals: u64,
     /// Extra deque elements batch-transferred by native steals.
     pub native_batch_moved: u64,
     /// Native steal attempts that lost a CAS race.
@@ -147,11 +144,6 @@ impl Counters {
                 EventKind::RunStart { .. } => c.native_runs += 1,
                 EventKind::NativeSteal { moved, .. } => {
                     c.native_steals += 1;
-                    c.native_batch_moved += *moved;
-                }
-                EventKind::NativeStealRemote { moved, .. } => {
-                    c.native_steals += 1;
-                    c.native_remote_steals += 1;
                     c.native_batch_moved += *moved;
                 }
                 EventKind::NativeStealRetry { .. } => c.native_steal_retries += 1,

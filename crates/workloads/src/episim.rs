@@ -1426,16 +1426,21 @@ mod tests {
 
     #[test]
     fn eden_messages_carry_the_migration_traffic() {
-        // With more than one PE under a sharded topology, cross-shard
-        // agent movement must show up in `remote_words` — the whole
-        // point of this workload's Eden form.
+        // With more than one PE, agents moving between PEs' locations
+        // must show up as message words beyond what a lone PE sends —
+        // the whole point of this workload's Eden form. Both runs ship
+        // the same final agents and tallies to the master.
         let e = small(VisitDist::Skewed);
-        let cfg = NativeConfig::steal(4)
-            .with_backend(rph_native::BackendKind::Eden)
-            .with_topology(2, 2);
-        let (m, _) = e.run_eden_native(&cfg).unwrap();
-        assert!(m.stats.remote_words > 0, "stats: {:?}", m.stats);
-        assert!(m.stats.words_sent > m.stats.remote_words);
+        let eden = |w| NativeConfig::steal(w).with_backend(rph_native::BackendKind::Eden);
+        let (one, _) = e.run_eden_native(&eden(1)).unwrap();
+        let (four, _) = e.run_eden_native(&eden(4)).unwrap();
+        assert_eq!(four.stats.msgs_sent, four.stats.msgs_recv);
+        assert!(
+            four.stats.words_sent > one.stats.words_sent,
+            "1 PE: {:?}\n4 PEs: {:?}",
+            one.stats,
+            four.stats
+        );
     }
 
     #[test]

@@ -38,9 +38,7 @@ pub mod sum_euler;
 pub use apsp::Apsp;
 pub use episim::{Episim, VisitDist};
 pub use matmul::MatMul;
-pub use native::{
-    run_flat, run_iter_on, run_iter_respawn, FlatNative, IterNative, NativeMeasured, NativeWorkload,
-};
+pub use native::{run_flat, run_iter_on, FlatNative, IterNative, NativeMeasured, NativeWorkload};
 pub use nqueens::NQueens;
 pub use registry::{registry, Scale};
 pub use sum_euler::SumEuler;

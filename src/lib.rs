@@ -97,8 +97,8 @@ pub mod prelude {
     pub use rph_heap::{Heap, NodeRef, ScId, Value};
     pub use rph_machine::{ir, prelude as hs_prelude, Program, ProgramBuilder};
     pub use rph_native::{
-        execute, master_worker, par_map, ring, BackendKind, Granularity, NativeConfig, Packet,
-        Pool, RingJob, Skeleton, StealPolicy, Wordsize,
+        execute, master_worker, par_map, ring, BackendKind, NativeConfig, Packet, Pool, RingJob,
+        Skeleton, Wordsize,
     };
     pub use rph_trace::{render_timeline, RenderOptions, Timeline, TraceStats, Tracer};
 }

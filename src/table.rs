@@ -64,12 +64,20 @@ impl TextTable {
         out
     }
 
-    /// Render as CSV.
+    /// Render as CSV (RFC 4180): a field holding `,`, `"` or a line
+    /// break is quoted, with its quotes doubled.
     pub fn to_csv(&self) -> String {
+        fn field(c: &str) -> std::borrow::Cow<'_, str> {
+            if c.contains([',', '"', '\n', '\r']) {
+                format!("\"{}\"", c.replace('"', "\"\"")).into()
+            } else {
+                c.into()
+            }
+        }
         let mut out = String::new();
-        let _ = writeln!(out, "{}", self.header.join(","));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", row.join(","));
+        for row in std::iter::once(&self.header).chain(&self.rows) {
+            let cells: Vec<_> = row.iter().map(|c| field(c)).collect();
+            let _ = writeln!(out, "{}", cells.join(","));
         }
         out
     }
@@ -96,6 +104,15 @@ mod tests {
         let mut t = TextTable::new(&["a", "b"]);
         t.row_str(&["1", "2"]);
         assert_eq!(t.to_csv(), "a,b\n1,2\n");
+        // Fields holding a separator, a quote or a line break are
+        // quoted, embedded quotes doubled; the rest stay bare.
+        let mut t = TextTable::new(&["speedup (1,2,4)", "note"]);
+        t.row_str(&["1.0,1.9", "say \"hi\""])
+            .row_str(&["a\nb", "plain"]);
+        assert_eq!(
+            t.to_csv(),
+            "\"speedup (1,2,4)\",note\n\"1.0,1.9\",\"say \"\"hi\"\"\"\n\"a\nb\",plain\n"
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use rph::prelude::*;
 use rph::workloads::{Apsp, MatMul, NQueens, NativeWorkload, SumEuler};
-use rph_native::{BackendKind, Granularity, NativeConfig};
+use rph_native::{BackendKind, NativeConfig};
 
 const SE_N: i64 = 400;
 
@@ -214,16 +214,9 @@ fn check_phase_validates_parallel_result() {
 }
 
 /// Every native configuration the differential tests sweep: 1, 2, 3,
-/// 4, 5 and 8 workers (even and odd), both granularities (fixed
-/// per-task dealing and lazy-split ranges).
+/// 4, 5 and 8 workers, even and odd.
 fn native_configs() -> Vec<NativeConfig> {
-    [1usize, 2, 3, 4, 5, 8]
-        .into_iter()
-        .flat_map(|w| {
-            [Granularity::LazySplit, Granularity::Fixed]
-                .map(|g| NativeConfig::steal(w).with_granularity(g))
-        })
-        .collect()
+    [1usize, 2, 3, 4, 5, 8].map(NativeConfig::steal).to_vec()
 }
 
 #[test]
