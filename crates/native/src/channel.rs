@@ -24,13 +24,14 @@
 //!
 //! The implementation is a `Mutex<VecDeque>` with two condvars, chosen
 //! when channel operations were thought rare enough (a handful per
-//! task) for the lock not to matter. The repo benchmark says otherwise:
-//! a ping-pong over a capacity-1 channel takes 37 µs
-//! (`channel.pingpong_ns_cap1`) and a streamed packet 3.3 µs at
-//! capacity 8 against 0.47 µs at capacity 64 — a cross-thread wake-up
+//! task) for the lock not to matter. The repo benchmark says otherwise
+//! (BENCH_32.json): a ping-pong over a capacity-1 channel takes 16.1 µs
+//! (`channel.pingpong_ns_cap1`) and a streamed packet 1.84 µs at
+//! capacity 8 against 0.48 µs at capacity 64 — a cross-thread wake-up
 //! through `Mutex` + `Condvar` on every message, and the reason
-//! `native_eden` spends 43 % of its time blocked. ROADMAP item 3
-//! replaces it with a lock-free SPSC ring behind the same signatures.
+//! `native_eden` spends 41 % of its time blocked
+//! (`occ.eden.blocked_frac`). ROADMAP item 4 replaces it with a
+//! lock-free SPSC ring behind the same signatures.
 
 use crate::park::EventCount;
 use std::collections::VecDeque;

@@ -63,10 +63,11 @@
 //!   above ([`Pool`], [`execute`]).
 //! * [`BackendKind::Eden`] — one OS thread per PE with **private
 //!   working memory**, communicating only fully-evaluated [`Packet`]s
-//!   over bounded SPSC channels ([`bounded`]), through the three
-//!   skeletons the paper's workloads need: [`par_map`] (static
-//!   farm), [`master_worker`] (demand-driven farm) and
-//!   [`ring`] (wavefronts). Channel sends, receives and
+//!   over bounded SPSC channels ([`bounded`]), through the five
+//!   skeletons the paper's workloads need, all on one PE engine:
+//!   [`par_map`] (static farm), [`master_worker`] (demand-driven
+//!   farm), [`ring`] (wavefronts), [`try_par_map_reduce`] (folding
+//!   farm) and [`exchange`] (step barriers). Channel sends, receives and
 //!   blocks land in the same wall-clock trace machinery, so Eden runs
 //!   render the same per-core timelines — now with message events.
 
